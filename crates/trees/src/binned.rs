@@ -203,20 +203,24 @@ impl BinnedMatrix {
     /// ids — the form the binned permutation importance uses.
     pub fn quantized_matrix(&self) -> FeatureMatrix {
         let columns: Vec<Vec<f64>> = (0..self.n_features())
-            .map(|f| {
-                let uppers = &self.uppers[f];
-                // The reserved NaN code is past the last upper: map it back
-                // to NaN so missing cells stay missing after quantization.
-                self.codes[f]
-                    .iter()
-                    .map(|&c| uppers.get(c as usize).copied().unwrap_or(f64::NAN))
-                    .collect()
-            })
+            .map(|f| (0..self.n_rows).map(|r| self.quantized(r, f)).collect())
             .collect();
         FeatureMatrix::from_columns_with_missing(self.names.clone(), columns)
             // lint:allow(panic-free) bin uppers are copies of values the
             // FeatureMatrix constructor already validated as non-infinite
             .expect("binned values are never infinite by construction")
+    }
+
+    /// The quantized value of cell (`row`, `feature`): its bin's upper
+    /// value, or NaN for the reserved NaN bin, so missing cells stay
+    /// missing after quantization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `feature` is out of bounds.
+    pub(crate) fn quantized(&self, row: usize, feature: usize) -> f64 {
+        let code = usize::from(self.codes[feature][row]);
+        self.uppers[feature].get(code).copied().unwrap_or(f64::NAN)
     }
 
     /// Histogram best split of one feature over `rows` — the O(n) + O(bins)

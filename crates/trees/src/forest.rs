@@ -53,6 +53,8 @@ pub struct RandomForest {
     trees: Vec<RegressionTree>,
     oob_rows: Vec<Vec<usize>>,
     n_features: usize,
+    /// Height of the training matrix, which `oob_rows` index.
+    n_rows: usize,
     config: ForestConfig,
 }
 
@@ -116,6 +118,7 @@ impl RandomForest {
             trees,
             oob_rows,
             n_features: data.n_features(),
+            n_rows: data.n_rows(),
             config: *config,
         })
     }
@@ -145,13 +148,13 @@ impl RandomForest {
 
     /// Out-of-bag probability per training row (`None` for rows that were
     /// in-bag for every tree).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreesError::SchemaMismatch`] or
+    /// [`TreesError::LengthMismatch`] when `data` is not the training matrix.
     pub fn oob_proba(&self, data: &FeatureMatrix) -> Result<Vec<Option<f64>>, TreesError> {
-        if data.n_features() != self.n_features {
-            return Err(TreesError::SchemaMismatch {
-                trained: self.n_features,
-                given: data.n_features(),
-            });
-        }
+        self.check_training_matrix(data)?;
         let mut sums = vec![0.0; data.n_rows()];
         let mut counts = vec![0u32; data.n_rows()];
         for (tree, oob) in self.trees.iter().zip(&self.oob_rows) {
@@ -221,18 +224,15 @@ impl RandomForest {
     ///
     /// # Errors
     ///
-    /// Propagates schema/length mismatches.
+    /// Returns [`TreesError::SchemaMismatch`] when the feature count differs
+    /// from training and [`TreesError::LengthMismatch`] when `data` is not
+    /// the training matrix's height or `labels` don't cover it.
     pub fn permutation_importances(
         &self,
         data: &FeatureMatrix,
         labels: &[bool],
     ) -> Result<Vec<f64>, TreesError> {
-        if data.n_features() != self.n_features {
-            return Err(TreesError::SchemaMismatch {
-                trained: self.n_features,
-                given: data.n_features(),
-            });
-        }
+        self.check_training_matrix(data)?;
         if labels.len() != data.n_rows() {
             return Err(TreesError::LengthMismatch {
                 features: data.n_rows(),
@@ -240,22 +240,18 @@ impl RandomForest {
             });
         }
 
-        // Histogram-trained trees split at bin-upper thresholds, so permute
-        // the quantized columns — exactly a permutation of bin ids. Routing
-        // of unpermuted rows is unchanged (value and its bin upper fall on
-        // the same side of every threshold), so the baseline matches too.
-        let quantized;
-        let eval: &FeatureMatrix = match self.config.strategy {
-            SplitStrategy::Histogram => {
-                quantized = BinnedMatrix::from_matrix(data)?.quantized_matrix();
-                &quantized
-            }
-            SplitStrategy::Exact => data,
+        // Histogram-trained trees split at bin-upper thresholds, so route
+        // on bin uppers: permuting them is exactly a permutation of bin ids,
+        // and an unpermuted row routes as its raw value would (value and
+        // its bin upper fall on the same side of every threshold).
+        let binned = match self.config.strategy {
+            SplitStrategy::Histogram => Some(BinnedMatrix::from_matrix(data)?),
+            SplitStrategy::Exact => None,
         };
 
         let n_threads = effective_threads(self.config.n_threads, self.trees.len());
         let per_tree: Vec<Vec<f64>> = run_indexed_parallel(self.trees.len(), n_threads, |t| {
-            self.tree_permutation_importance(t, eval, labels)
+            self.tree_permutation_importance(t, data, binned.as_ref(), labels)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
@@ -271,16 +267,23 @@ impl RandomForest {
     }
 
     /// Permutation importance of every feature for one tree's OOB set.
+    ///
+    /// Permuting feature `f` can only change the answer of a row whose path
+    /// tests `f`, so only those rows are re-routed, from the first node that
+    /// tests `f`. The shuffle draws depend only on the row count, so the
+    /// scores equal those of re-predicting a fully permuted matrix, bit for
+    /// bit (DESIGN.md §8).
     fn tree_permutation_importance(
         &self,
         tree_idx: usize,
         data: &FeatureMatrix,
+        binned: Option<&BinnedMatrix>,
         labels: &[bool],
     ) -> Result<Vec<f64>, TreesError> {
         // Cap OOB evaluation size to bound cost on large training sets.
         const MAX_OOB: usize = 512;
-        let tree = &self.trees[tree_idx];
-        let oob = &self.oob_rows[tree_idx];
+        let (tree, oob) = (&self.trees[tree_idx], &self.oob_rows[tree_idx]);
+        let f_total = self.n_features;
         let mut rng = StdRng::seed_from_u64(mix_seed(self.config.seed ^ 0xA5A5, tree_idx as u64));
         let rows: Vec<usize> = if oob.len() > MAX_OOB {
             smart_stats::sampling::sample_without_replacement(&mut rng, oob.len(), MAX_OOB)?
@@ -291,31 +294,79 @@ impl RandomForest {
             oob.clone()
         };
         if rows.is_empty() {
-            return Ok(vec![0.0; self.n_features]);
+            return Ok(vec![0.0; f_total]);
         }
 
-        // Materialize the OOB submatrix once; permute one column at a time.
-        let sub = data.select_rows(&rows)?;
-        let sub_labels: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
-        let baseline = accuracy_of_tree(tree, &sub, &sub_labels);
+        // Row-major block of the values the tree routes on.
+        let cell = |r, f| binned.map_or_else(|| data.value(r, f), |b| b.quantized(r, f));
+        let block: Vec<f64> = rows
+            .iter()
+            .flat_map(|&r| (0..f_total).map(move |f| cell(r, f)))
+            .collect();
+        let row_values = |i: usize| &block[i * f_total..(i + 1) * f_total];
 
-        (0..self.n_features)
-            .map(|feature| {
-                let mut permuted = sub.column(feature).to_vec();
-                shuffle(&mut permuted, &mut rng);
-                let mut columns: Vec<Vec<f64>> = (0..sub.n_features())
-                    .map(|c| sub.column(c).to_vec())
-                    .collect();
-                columns[feature] = permuted;
-                // `with_missing`: permuting a column with NaN cells must
-                // keep them NaN, not fail matrix construction.
-                let shuffled = FeatureMatrix::from_columns_with_missing(
-                    sub.feature_names().to_vec(),
-                    columns,
-                )?;
-                Ok(baseline - accuracy_of_tree(tree, &shuffled, &sub_labels))
+        // tests[f]: (row, first node testing f) for every row whose path
+        // tests f. Rows go in order, so a last entry for row i means f was
+        // already recorded on row i's path.
+        let mut tests: Vec<Vec<(usize, usize)>> = vec![Vec::new(); f_total];
+        let mut correct = Vec::with_capacity(rows.len());
+        for (i, &r) in rows.iter().enumerate() {
+            let values = row_values(i);
+            let leaf = tree.descend(
+                0,
+                |f| values[f],
+                |node, f| {
+                    if tests[f].last().is_none_or(|&(j, _)| j != i) {
+                        tests[f].push((i, node));
+                    }
+                },
+            );
+            correct.push((tree.leaf_value(leaf) >= 0.5) == labels[r]);
+        }
+        let n_correct = correct.iter().filter(|&&c| c).count();
+        let n = rows.len() as f64;
+
+        let mut perm: Vec<usize> = Vec::with_capacity(rows.len());
+        Ok(tests
+            .iter()
+            .enumerate()
+            .map(|(feature, tested)| {
+                // perm[i] is the row whose value lands in row i.
+                perm.clear();
+                perm.extend(0..rows.len());
+                shuffle(&mut perm, &mut rng);
+                let mut permuted_correct = n_correct;
+                for &(i, node) in tested {
+                    let (values, swapped) = (row_values(i), row_values(perm[i])[feature]);
+                    let value = |f| if f == feature { swapped } else { values[f] };
+                    let leaf = tree.descend(node, value, |_, _| {});
+                    // Each row appears once per feature and still counts its
+                    // baseline answer here, so this never underflows.
+                    permuted_correct = permuted_correct
+                        + usize::from((tree.leaf_value(leaf) >= 0.5) == labels[rows[i]])
+                        - usize::from(correct[i]);
+                }
+                n_correct as f64 / n - permuted_correct as f64 / n
             })
-            .collect()
+            .collect())
+    }
+
+    /// `data` must have the training schema and height: the stored OOB row
+    /// ids index the training rows.
+    fn check_training_matrix(&self, data: &FeatureMatrix) -> Result<(), TreesError> {
+        if data.n_features() != self.n_features {
+            return Err(TreesError::SchemaMismatch {
+                trained: self.n_features,
+                given: data.n_features(),
+            });
+        }
+        if data.n_rows() != self.n_rows {
+            return Err(TreesError::LengthMismatch {
+                features: data.n_rows(),
+                targets: self.n_rows,
+            });
+        }
+        Ok(())
     }
 
     /// The trained trees.
@@ -329,14 +380,8 @@ impl RandomForest {
     }
 }
 
-fn accuracy_of_tree(tree: &RegressionTree, data: &FeatureMatrix, labels: &[bool]) -> f64 {
-    let correct = (0..data.n_rows())
-        .filter(|&r| (tree.predict_row(data, r) >= 0.5) == labels[r])
-        .count();
-    correct as f64 / data.n_rows().max(1) as f64
-}
-
-fn shuffle(xs: &mut [f64], rng: &mut StdRng) {
+/// Fisher–Yates shuffle; the draws depend only on `xs.len()`.
+fn shuffle(xs: &mut [usize], rng: &mut StdRng) {
     for i in (1..xs.len()).rev() {
         let j = rng.random_range(0..=i);
         xs.swap(i, j);
@@ -628,6 +673,191 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2]);
         let out: Vec<usize> = run_indexed_parallel(0, 4, |i| i);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn importances_reject_a_matrix_that_is_not_the_training_one() {
+        // OOB row ids index the training rows, so any other height must be
+        // refused up front: shorter would index past the end, taller would
+        // silently score the wrong rows.
+        let (data, labels) = make_data(120, 23);
+        let forest = RandomForest::fit(&data, &labels, &small_config()).unwrap();
+        for n in [60, 240] {
+            let (other, other_labels) = make_data(n, 24);
+            let expected = TreesError::LengthMismatch {
+                features: n,
+                targets: 120,
+            };
+            assert_eq!(
+                forest.permutation_importances(&other, &other_labels),
+                Err(expected.clone())
+            );
+            assert_eq!(forest.oob_proba(&other), Err(expected.clone()));
+            assert_eq!(forest.oob_score(&other, &other_labels), Err(expected));
+        }
+        assert!(forest.permutation_importances(&data, &labels).is_ok());
+    }
+
+    /// The per-feature rebuild algorithm the path-based one replaced, kept
+    /// as its oracle: per tree, materialize the OOB submatrix, rebuild it
+    /// with one column shuffled, and re-predict every row from the root.
+    fn oracle_tree_importance(
+        forest: &RandomForest,
+        tree_idx: usize,
+        data: &FeatureMatrix,
+        labels: &[bool],
+    ) -> Vec<f64> {
+        const MAX_OOB: usize = 512;
+        let tree = &forest.trees[tree_idx];
+        let oob = &forest.oob_rows[tree_idx];
+        let mut rng = StdRng::seed_from_u64(mix_seed(forest.config.seed ^ 0xA5A5, tree_idx as u64));
+        let rows: Vec<usize> = if oob.len() > MAX_OOB {
+            smart_stats::sampling::sample_without_replacement(&mut rng, oob.len(), MAX_OOB)
+                .unwrap()
+                .into_iter()
+                .map(|i| oob[i])
+                .collect()
+        } else {
+            oob.clone()
+        };
+        if rows.is_empty() {
+            return vec![0.0; forest.n_features];
+        }
+        let sub = data.select_rows(&rows).unwrap();
+        let sub_labels: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
+        let accuracy = |m: &FeatureMatrix| {
+            let correct = (0..m.n_rows())
+                .filter(|&r| (tree.predict_row(m, r) >= 0.5) == sub_labels[r])
+                .count();
+            correct as f64 / m.n_rows().max(1) as f64
+        };
+        let baseline = accuracy(&sub);
+        (0..forest.n_features)
+            .map(|feature| {
+                let mut permuted = sub.column(feature).to_vec();
+                for i in (1..permuted.len()).rev() {
+                    let j = rng.random_range(0..=i);
+                    permuted.swap(i, j);
+                }
+                let mut columns: Vec<Vec<f64>> = (0..sub.n_features())
+                    .map(|c| sub.column(c).to_vec())
+                    .collect();
+                columns[feature] = permuted;
+                let shuffled =
+                    FeatureMatrix::from_columns_with_missing(sub.feature_names().to_vec(), columns)
+                        .unwrap();
+                baseline - accuracy(&shuffled)
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A random task: mixed continuous / low-cardinality columns, some with
+    /// NaN cells, labels driven by the first column plus label noise.
+    fn random_task(g: &mut rng::prop::Gen, n: usize) -> (FeatureMatrix, Vec<bool>) {
+        let n_features = g.usize_in(2, 6);
+        let columns: Vec<Vec<f64>> = (0..n_features)
+            .map(|_| {
+                let distinct = if g.bool() { g.usize_in(2, 12) } else { n };
+                let nan_rate = if g.bool() { g.f64_in(0.05, 0.3) } else { 0.0 };
+                (0..n)
+                    .map(|_| {
+                        if g.bool_with(nan_rate) {
+                            f64::NAN
+                        } else {
+                            g.usize_in(0, distinct - 1) as f64 / distinct as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let labels = columns[0]
+            .iter()
+            .map(|&x| if x.is_nan() { g.bool() } else { x > 0.5 } != g.bool_with(0.1))
+            .collect();
+        let names = (0..n_features).map(|f| format!("f{f}")).collect();
+        (
+            FeatureMatrix::from_columns_with_missing(names, columns).unwrap(),
+            labels,
+        )
+    }
+
+    #[test]
+    fn prop_path_reroute_matches_the_rebuild_oracle_bit_for_bit() {
+        rng::prop_check!(|g| {
+            // Small sets keep every OOB row; ~1500 rows push the OOB sets
+            // past the 512-row cap so the sampled path runs too.
+            let n = if g.bool() {
+                g.usize_in(8, 300)
+            } else {
+                g.usize_in(1450, 1700)
+            };
+            let (data, labels) = random_task(g, n);
+            let threads = if g.bool() { 1 } else { 4 };
+            let config = ForestConfig {
+                n_trees: g.usize_in(1, 6),
+                tree: TreeConfig {
+                    // Shallow trees leave features untested on every path.
+                    max_depth: if g.bool() {
+                        g.usize_in(1, 3)
+                    } else {
+                        g.usize_in(4, 13)
+                    },
+                    max_features: if g.bool() {
+                        MaxFeatures::Sqrt
+                    } else {
+                        MaxFeatures::All
+                    },
+                    ..TreeConfig::default()
+                },
+                seed: g.u64_in(0, u64::MAX),
+                n_threads: Some(threads),
+                strategy: if g.bool() {
+                    SplitStrategy::Histogram
+                } else {
+                    SplitStrategy::Exact
+                },
+            };
+            let forest = RandomForest::fit(&data, &labels, &config).unwrap();
+
+            let quantized;
+            let eval = match config.strategy {
+                SplitStrategy::Histogram => {
+                    quantized = BinnedMatrix::from_matrix(&data).unwrap().quantized_matrix();
+                    &quantized
+                }
+                SplitStrategy::Exact => &data,
+            };
+            let binned = (config.strategy == SplitStrategy::Histogram)
+                .then(|| BinnedMatrix::from_matrix(&data).unwrap());
+            let mut oracle_totals = vec![0.0; data.n_features()];
+            for t in 0..forest.trees().len() {
+                let oracle = oracle_tree_importance(&forest, t, eval, &labels);
+                let fast = forest
+                    .tree_permutation_importance(t, &data, binned.as_ref(), &labels)
+                    .unwrap();
+                assert_eq!(bits(&fast), bits(&oracle), "tree {t}");
+                for (total, s) in oracle_totals.iter_mut().zip(&oracle) {
+                    *total += s.max(0.0);
+                }
+            }
+            normalize(&mut oracle_totals);
+
+            let imp = forest.permutation_importances(&data, &labels).unwrap();
+            assert_eq!(bits(&imp), bits(&oracle_totals));
+            let other = RandomForest {
+                config: ForestConfig {
+                    n_threads: Some(5 - threads),
+                    ..config
+                },
+                ..forest.clone()
+            };
+            let imp_other = other.permutation_importances(&data, &labels).unwrap();
+            assert_eq!(bits(&imp_other), bits(&imp), "thread count changed scores");
+        });
     }
 
     #[test]

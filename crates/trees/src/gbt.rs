@@ -130,13 +130,16 @@ impl GradientBoosting {
                 None => RegressionTree::fit(data, &residuals, &rows, &config.tree, &mut rng),
             }?;
 
+            // Every row's leaf, found once: relabeling only rewrites leaf
+            // values, never the routing.
+            let leaves: Vec<usize> = (0..n).map(|r| tree.apply(data, r)).collect();
+
             // Newton re-labeling: leaf value = Σ(y-p) / Σ p(1-p).
             let mut grad_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
             let mut hess_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
             for &r in &rows {
-                let leaf = tree.apply(data, r);
-                grad_sum[leaf] += residuals[r];
-                hess_sum[leaf] += probs[r] * (1.0 - probs[r]);
+                grad_sum[leaves[r]] += residuals[r];
+                hess_sum[leaves[r]] += probs[r] * (1.0 - probs[r]);
             }
             for leaf in 0..tree.n_nodes() {
                 if hess_sum[leaf] > 0.0 {
@@ -145,8 +148,8 @@ impl GradientBoosting {
             }
 
             // Update scores on the full training set.
-            for (row, score) in scores.iter_mut().enumerate() {
-                *score += config.learning_rate * tree.predict_row(data, row);
+            for (score, &leaf) in scores.iter_mut().zip(&leaves) {
+                *score += config.learning_rate * tree.leaf_value(leaf);
             }
             stages.push(tree);
         }

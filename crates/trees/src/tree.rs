@@ -358,7 +358,19 @@ impl RegressionTree {
             self.n_features,
             "feature count mismatch at prediction"
         );
-        let mut idx = 0;
+        self.descend(0, |feature| data.value(row, feature), |_, _| {})
+    }
+
+    /// Index of the leaf reached from node `start`, reading each split's
+    /// feature value through `value`; `visit(node, feature)` sees every
+    /// split node passed on the way down.
+    pub(crate) fn descend(
+        &self,
+        start: usize,
+        value: impl Fn(usize) -> f64,
+        mut visit: impl FnMut(usize, usize),
+    ) -> usize {
+        let mut idx = start;
         loop {
             match &self.nodes[idx] {
                 Node::Leaf { .. } => return idx,
@@ -369,7 +381,8 @@ impl RegressionTree {
                     right,
                     nan_left,
                 } => {
-                    let v = data.value(row, *feature);
+                    visit(idx, *feature);
+                    let v = value(*feature);
                     idx = if v.is_nan() {
                         // Missing measurement: follow the routing the
                         // boundary scan decided at training time.
@@ -390,10 +403,16 @@ impl RegressionTree {
 
     /// Predicted value for row `row` of `data`.
     pub fn predict_row(&self, data: &FeatureMatrix, row: usize) -> f64 {
-        match &self.nodes[self.apply(data, row)] {
+        self.leaf_value(self.apply(data, row))
+    }
+
+    /// Value of leaf `leaf`, an index returned by [`Self::apply`] or
+    /// [`Self::descend`].
+    pub(crate) fn leaf_value(&self, leaf: usize) -> f64 {
+        match &self.nodes[leaf] {
             Node::Leaf { value, .. } => *value,
-            // lint:allow(panic-free) apply() only ever returns a leaf index;
-            // a Split here means the tree structure itself is corrupt
+            // lint:allow(panic-free) apply() and descend() only ever return
+            // a leaf index; a Split here means the tree itself is corrupt
             Node::Split { .. } => unreachable!("apply returns a leaf"),
         }
     }

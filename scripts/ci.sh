@@ -17,6 +17,12 @@ cargo build --release --offline --workspace --all-targets
 step "cargo test -q --offline"
 cargo test -q --offline --workspace
 
+step "benchmark package: unit tests + smoke run of every workload"
+# perfbench/ is a Cargo workspace of its own, so the workspace test run
+# above does not reach it. Its smoke tests run each workload end to end and
+# check the output, so a change that breaks a workload fails here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo doc --no-deps --offline"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
