@@ -99,7 +99,12 @@ fn report_route_serves_valid_json_over_http() {
     assert!(status.contains("200 OK"), "{status}");
     let report: telemetry::RunReport = json::from_str(&body).expect("parse /report body");
     report.validate_tree().expect("consistent span tree");
-    let (status, _) = listener::http_get(server.addr(), "/metrics").expect("GET /metrics");
-    assert!(status.contains("404"), "only /report is routed: {status}");
+    let (status, body) = listener::http_get(server.addr(), "/metrics").expect("GET /metrics");
+    assert!(status.contains("200 OK"), "{status}");
+    assert!(
+        body.lines()
+            .any(|l| l.starts_with("wefr_telemetry_events_dropped ")),
+        "{body}"
+    );
     server.stop();
 }

@@ -105,24 +105,10 @@ impl FailurePredictor {
     /// observed on `day`.
     pub fn score_drive_day(&self, drive: &DriveRecord, day: u32) -> Result<f64, PipelineError> {
         let row = crate::features::expand_sample(drive, day, &self.base)?;
-        Ok(self.score_rows(std::slice::from_ref(&row))?[0])
-    }
-
-    /// Failure probabilities for pre-expanded feature rows (in
-    /// [`crate::features::expanded_feature_names`] order) — the entry point
-    /// for callers that maintain window statistics incrementally instead of
-    /// re-expanding drive history, e.g. the serving daemon. NaN cells
-    /// (missing measurements) are permitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Stats`] on rows of the wrong width or with
-    /// infinite values, and propagates prediction errors.
-    pub fn score_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, PipelineError> {
         let names = crate::features::expanded_feature_names(&self.base);
-        let matrix =
-            FeatureMatrix::from_rows_with_missing(names, rows).map_err(PipelineError::Stats)?;
-        Ok(self.forest.predict_proba(&matrix)?)
+        let matrix = FeatureMatrix::from_rows_with_missing(names, std::slice::from_ref(&row))
+            .map_err(PipelineError::Stats)?;
+        Ok(self.forest.predict_proba(&matrix)?[0])
     }
 
     /// Failure probabilities for a batch of samples (much faster than

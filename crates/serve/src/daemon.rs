@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 
 use smart_dataset::{
-    stream_drive_batches, DriveBatch, DriveId, DriveModel, Fleet, FleetConfig, IngestConfig,
-    IngestStats, TroubleTicket,
+    stream_drive_batches, DriveBatch, DriveId, DriveModel, DriveRecord, Fleet, FleetConfig,
+    IngestConfig, IngestStats, TroubleTicket,
 };
 use smart_pipeline::{
     base_features, base_matrix, collect_samples, survival_pairs, FailurePredictor, PredictorConfig,
@@ -20,7 +20,6 @@ use wefr_core::wearout::detect_wearout_threshold;
 use wefr_core::{SelectionInput, UpdateDecision, UpdateMonitor, Wefr, WefrConfig, WefrError};
 
 use crate::error::ServeError;
-use crate::state::DriveState;
 
 /// Environment knob overriding the update-cycle cadence in days.
 pub const ENV_SERVE_PERIOD_DAYS: &str = "WEFR_SERVE_PERIOD_DAYS";
@@ -105,8 +104,6 @@ pub struct CycleReport {
 /// The product of a re-selection: what to score with until the next one.
 #[derive(Debug)]
 struct SelectionState {
-    /// Indices of the selected base features in the daemon's base list.
-    selected_indices: Vec<usize>,
     /// Names of the selected base features, best first.
     selected_names: Vec<String>,
     /// Predictor trained on the selected features.
@@ -123,7 +120,7 @@ struct SelectionState {
 pub struct Daemon {
     config: ServeConfig,
     base: Vec<smart_dataset::FeatureId>,
-    drives: BTreeMap<DriveId, DriveState>,
+    drives: BTreeMap<DriveId, DriveRecord>,
     day: Option<u32>,
     monitor: UpdateMonitor,
     /// Last day a cycle was *attempted* (recorded or skipped). Skipped
@@ -167,7 +164,7 @@ impl Daemon {
     /// The last observed day across all tracked drives — how far
     /// [`Daemon::advance_to`] can usefully replay.
     pub fn last_observed_day(&self) -> Option<u32> {
-        self.drives.values().map(|s| s.record().last_day()).max()
+        self.drives.values().map(DriveRecord::last_day).max()
     }
 
     /// Ingest a SMART-log CSV through the sharded reader, registering
@@ -175,7 +172,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Propagates CSV parse errors and window-construction failures.
+    /// Propagates CSV parse errors.
     pub fn ingest_csv<R: BufRead + Send>(
         &mut self,
         input: R,
@@ -183,41 +180,29 @@ impl Daemon {
         config: &IngestConfig,
     ) -> Result<IngestStats, ServeError> {
         let span = telemetry::span!("serve.ingest");
-        let stats = stream_drive_batches(input, tickets, config, |batch| self.ingest_batch(batch))?;
+        let stats = stream_drive_batches(input, tickets, config, |batch| {
+            self.ingest_batch(batch);
+            Ok::<_, ServeError>(())
+        })?;
         span.record("drives", stats.drives);
         telemetry::counter_add("serve.ingest.drives", stats.drives);
         Ok(stats)
     }
 
     /// Register one batch of drive records (the `stream_drive_batches`
-    /// consumer). Re-ingesting a drive replaces its record and windows.
-    ///
-    /// Drives registered after the cursor has advanced are caught up
-    /// immediately, so late registration and replay order commute.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window-construction failures.
-    pub fn ingest_batch(&mut self, batch: DriveBatch) -> Result<(), ServeError> {
+    /// consumer). Re-ingesting a drive replaces its record; scores read
+    /// the record directly, so late registration and replay order commute.
+    pub fn ingest_batch(&mut self, batch: DriveBatch) {
         for record in batch.drives {
-            if record.model != self.config.model {
-                continue;
+            if record.model == self.config.model {
+                self.drives.insert(record.id, record);
             }
-            let id = record.id;
-            let mut state = DriveState::new(record, &self.base)?;
-            if let Some(day) = self.day {
-                for d in 0..=day {
-                    state.feed(d, &self.base);
-                }
-            }
-            self.drives.insert(id, state);
         }
-        Ok(())
     }
 
-    /// Advance the replay cursor to `target` (inclusive), feeding every
-    /// tracked drive day by day and running the update cycle whenever the
-    /// monitor says one is due. Returns one report per cycle attempted.
+    /// Advance the replay cursor to `target` (inclusive) day by day,
+    /// running the update cycle whenever the monitor says one is due.
+    /// Returns one report per cycle attempted.
     ///
     /// # Errors
     ///
@@ -231,9 +216,6 @@ impl Daemon {
         };
         let mut reports = Vec::new();
         for d in start..=target {
-            for state in self.drives.values_mut() {
-                state.feed(d, &self.base);
-            }
             self.day = Some(d);
             let attempt_due = self
                 .last_attempt_day
@@ -295,15 +277,15 @@ impl Daemon {
                 survival: Some(&survival),
             };
             let selection = Wefr::new(self.config.wefr.clone()).select(&input)?;
-            let selected_indices = selection.global.selected.clone();
-            let selected: Vec<_> = selected_indices
+            let selected: Vec<_> = selection
+                .global
+                .selected
                 .iter()
                 .filter_map(|&i| self.base.get(i).copied())
                 .collect();
             let predictor =
                 FailurePredictor::train(&fleet, &samples, &selected, &self.config.predictor)?;
             self.selection = Some(SelectionState {
-                selected_indices,
                 selected_names: selection.global.selected_names.clone(),
                 predictor,
                 selected_at_day: d,
@@ -335,7 +317,7 @@ impl Daemon {
     /// A [`Fleet`] view over the tracked records, for the batch-path
     /// sampling and training entry points.
     fn snapshot_fleet(&self) -> Result<Fleet, ServeError> {
-        let records: Vec<_> = self.drives.values().map(|s| s.record().clone()).collect();
+        let records: Vec<_> = self.drives.values().cloned().collect();
         let count = u32::try_from(records.len().max(1)).unwrap_or(u32::MAX);
         // `from_records` keeps the records verbatim; the config is only
         // carried for provenance, so any valid one will do.
@@ -348,7 +330,8 @@ impl Daemon {
     }
 
     /// Score `id` on the current day with the active selection: the
-    /// failure probability from the incrementally maintained feature row.
+    /// failure probability of the drive-day expanded exactly as training
+    /// expanded it ([`FailurePredictor::score_drive_day`]).
     ///
     /// # Errors
     ///
@@ -362,14 +345,19 @@ impl Daemon {
             .selection
             .as_ref()
             .ok_or_else(|| ServeError::not_ready("no feature selection trained yet"))?;
-        let state = self
+        let record = self
             .drives
             .get(&id)
             .ok_or_else(|| ServeError::not_ready(format!("unknown drive {id}")))?;
-        let row = state.expanded_row(day, &sel.selected_indices, &self.base)?;
-        let scores = sel.predictor.score_rows(std::slice::from_ref(&row))?;
+        if !record.observed_on(day) {
+            return Err(ServeError::not_ready(format!(
+                "drive {id} is not observed on day {day} (last day {})",
+                record.last_day()
+            )));
+        }
+        let score = sel.predictor.score_drive_day(record, day)?;
         telemetry::counter_add("serve.scores", 1);
-        Ok(scores[0])
+        Ok(score)
     }
 
     /// The selected base-feature names, best first.
@@ -504,9 +492,8 @@ mod tests {
 
     #[test]
     fn reingest_catch_up_matches_continuous_feeding() {
-        // Re-ingesting mid-replay replaces every record and rebuilds its
-        // windows through the cursor day; scores must be bit-identical to
-        // a daemon that fed continuously.
+        // Re-ingesting mid-replay replaces every record; scores must be
+        // bit-identical to a daemon that replayed continuously.
         let fleet = smoke_fleet();
         let last = fleet.drives().iter().map(|d| d.last_day()).max().unwrap();
         let mut continuous = Daemon::new(smoke_config());
@@ -526,6 +513,27 @@ mod tests {
             }
         }
         assert_eq!(continuous.status_lines(), reingested.status_lines());
+    }
+
+    #[test]
+    fn unobserved_day_is_not_ready() {
+        let fleet = smoke_fleet();
+        let last = fleet.drives().iter().map(|d| d.last_day()).max().unwrap();
+        let mut daemon = Daemon::new(smoke_config());
+        ingest(&mut daemon, &fleet, 1);
+        daemon.advance_to(last).unwrap();
+        daemon.features().unwrap();
+        let gone = fleet
+            .drives()
+            .iter()
+            .find(|d| d.last_day() < last)
+            .expect("a drive that stopped reporting before the cursor");
+        match daemon.score(gone.id) {
+            Err(ServeError::NotReady { message }) => {
+                assert!(message.contains("is not observed on day"), "{message}");
+            }
+            other => panic!("expected NotReady, got {other:?}"),
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!    [`smart_dataset::stream_drive_batches`] seam, so the daemon shares
 //!    the sharded reader's determinism guarantee: any worker count
 //!    produces the same state.
-//! 2. **Incremental state** ([`state`]) — each tracked drive carries one
-//!    [`smart_stats::window::IncrementalWindow`] per base feature and
-//!    window width, updated in O(1) per observation as the replay cursor
-//!    advances; scoring never re-expands drive history.
+//! 2. **Scoring** ([`daemon`]) — the daemon keeps each tracked drive's
+//!    full record; `SCORE` expands the selected base features of one
+//!    drive-day with [`smart_pipeline::features::expand_sample`], the
+//!    function training uses, so served features equal training features
+//!    bit for bit.
 //! 3. **Update cycle** ([`daemon`]) — a [`wefr_core::UpdateMonitor`]
 //!    schedules change-point checks on the paper's cadence; when the
 //!    wear-out threshold appears, disappears, or moves past tolerance,
@@ -37,7 +38,6 @@ pub mod daemon;
 pub mod error;
 pub mod listener;
 pub mod protocol;
-pub mod state;
 
 pub use daemon::{CycleReport, Daemon, ServeConfig};
 pub use error::ServeError;

@@ -1,5 +1,5 @@
-//! The TCP listener: line-protocol sessions plus a `GET /report` HTTP
-//! route, with a [`StopFlag`]-handshake shutdown.
+//! The TCP listener: line-protocol sessions plus `GET /metrics` and
+//! `GET /report` HTTP routes, with a [`StopFlag`]-handshake shutdown.
 //!
 //! This is the only file in the crate allowed to touch sockets (the
 //! smart-lint `network_access` allowlist); everything else stays pure so
@@ -19,6 +19,11 @@ use crate::protocol::{parse_request, respond, Request};
 
 /// How long a connection may dawdle before the server gives up on it.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request or header line the server reads (the telemetry
+/// endpoint's request cap). A longer line drops the connection, so a
+/// client streaming bytes without a newline cannot grow server memory.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
 
 /// Handle to a running serve listener. Stop it explicitly with
 /// [`ServeListener::stop`]; dropping the handle performs the same clean
@@ -63,7 +68,7 @@ impl Drop for ServeListener {
 
 /// Bind `addr` and answer queries against `daemon` from a background
 /// thread until the returned handle is stopped or dropped. `run` labels
-/// the `GET /report` telemetry snapshot.
+/// the telemetry snapshot behind `GET /metrics` and `GET /report`.
 ///
 /// # Errors
 ///
@@ -105,7 +110,7 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line_bounded(&mut reader, &mut line)? == 0 {
         return Ok(());
     }
     if line.starts_with("GET ") {
@@ -118,7 +123,7 @@ fn handle_connection(
         loop {
             // Headers end at an empty (\r\n) line.
             line.clear();
-            if reader.read_line(&mut line)? <= 2 {
+            if read_line_bounded(&mut reader, &mut line)? <= 2 {
                 break;
             }
         }
@@ -143,10 +148,27 @@ fn handle_connection(
         };
         response?;
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if read_line_bounded(&mut reader, &mut line)? == 0 {
             return writer.flush();
         }
     }
+}
+
+/// [`BufRead::read_line`] capped at [`MAX_LINE_BYTES`]: a line that hits
+/// the cap without a `\n` is an `InvalidData` error, which drops the
+/// connection.
+fn read_line_bounded(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+) -> std::io::Result<usize> {
+    let n = reader.by_ref().take(MAX_LINE_BYTES).read_line(line)?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "request line exceeds the length cap",
+        ));
+    }
+    Ok(n)
 }
 
 /// Write one response block: the lines, then the terminating blank line.
@@ -165,6 +187,11 @@ fn write_block(writer: &mut TcpStream, lines: &[String]) -> std::io::Result<()> 
 fn write_http(writer: &mut TcpStream, path: &str, run: &str) -> std::io::Result<()> {
     telemetry::counter_add("serve.requests", 1);
     let (status, content_type, body) = match path {
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            telemetry::serve::render_metrics(&telemetry::snapshot(run)),
+        ),
         "/report" => {
             let mut body = json::to_string_pretty(&telemetry::snapshot(run));
             body.push('\n');
@@ -173,7 +200,7 @@ fn write_http(writer: &mut TcpStream, path: &str, run: &str) -> std::io::Result<
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found; routes: /report\n".to_string(),
+            "not found; routes: /metrics /report\n".to_string(),
         ),
     };
     let response = telemetry::serve::http_response(status, content_type, &body);
@@ -272,6 +299,31 @@ mod tests {
         assert!(body.trim_start().starts_with('{'), "{body}");
         let (status, _) = http_get(listener.addr(), "/nope").unwrap();
         assert!(status.contains("404"), "{status}");
+        listener.stop();
+    }
+
+    #[test]
+    fn newline_free_flood_is_dropped_and_listener_keeps_serving() {
+        let (listener, _daemon) = start_empty();
+        let mut stream = TcpStream::connect_timeout(&listener.addr(), CLIENT_TIMEOUT).unwrap();
+        // Half the server's timeout: the connection must be dropped at the
+        // cap, not left open until the server gives up on it.
+        stream.set_read_timeout(Some(CLIENT_TIMEOUT / 2)).unwrap();
+        stream.set_write_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+        // The server hangs up mid-write, so the write may fail; either way
+        // no response block may come back.
+        let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+        let mut reply = Vec::new();
+        if let Err(e) = stream.read_to_end(&mut reply) {
+            use std::io::ErrorKind::{TimedOut, WouldBlock};
+            assert!(
+                !matches!(e.kind(), TimedOut | WouldBlock),
+                "connection left open: {e}"
+            );
+        }
+        assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+        let responses = query_session(listener.addr(), &["STATUS"]).unwrap();
+        assert!(responses[0].starts_with("ok status\n"), "{responses:?}");
         listener.stop();
     }
 }

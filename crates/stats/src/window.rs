@@ -3,20 +3,17 @@
 //! The prediction pipeline expands each selected base feature into
 //! statistical features over 3-day and 7-day windows: maximum, minimum,
 //! mean, standard deviation, max−min range, and weighted moving average
-//! (§V-A of the paper). [`WindowStats`] computes all six in one pass over a
-//! window; [`IncrementalWindow`] maintains the same six statistics under
-//! O(1) per-observation updates for the long-running serving path.
+//! (§V-A of the paper). [`WindowStats::compute`] computes all six over a
+//! window slice; it is the single implementation, shared by training and
+//! the serving daemon through the pipeline's `expand_sample`.
 //!
 //! # Missing data
 //!
 //! NaN cells mark *missing* measurements (DESIGN.md §11: tolerant ingest
-//! backfills day gaps with NaN). Both paths apply the same observed-only
-//! policy: NaN cells are skipped, the statistics are computed over the
-//! observed values in order, and a window with no observed values yields
-//! all-NaN statistics (which the binned learners route to their reserved
-//! missing bin).
-
-use std::collections::VecDeque;
+//! backfills day gaps with NaN). The policy is observed-only: NaN cells
+//! are skipped, the statistics are computed over the observed values in
+//! order, and a window with no observed values yields all-NaN statistics
+//! (which the binned learners route to their reserved missing bin).
 
 use crate::descriptive;
 use crate::{Result, StatsError};
@@ -103,222 +100,6 @@ impl WindowStats {
     }
 }
 
-/// Compute [`WindowStats`] over the trailing window of length `width` ending
-/// at index `end` (inclusive) of `series`. When fewer than `width`
-/// observations exist, the available prefix is used — matching how a
-/// production pipeline scores drives that have just been deployed.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidParameter`] if `width == 0` or
-/// `end >= series.len()`, plus any error from [`WindowStats::compute`].
-pub fn trailing_window_stats(series: &[f64], end: usize, width: usize) -> Result<WindowStats> {
-    if width == 0 {
-        return Err(StatsError::invalid(
-            "trailing_window_stats",
-            "width must be positive",
-        ));
-    }
-    if end >= series.len() {
-        return Err(StatsError::invalid(
-            "trailing_window_stats",
-            format!(
-                "end index {end} out of bounds for series of length {}",
-                series.len()
-            ),
-        ));
-    }
-    let start = (end + 1).saturating_sub(width);
-    WindowStats::compute(&series[start..=end])
-}
-
-/// O(1)-per-observation rolling computation of [`WindowStats`] over the
-/// trailing `width` observations — the serving path's replacement for
-/// recomputing [`WindowStats::compute`] over a slice each day.
-///
-/// Push one value per day (NaN for a missing measurement); [`stats`]
-/// returns the six statistics of the current window at any time.
-///
-/// # Equivalence to the batch path
-///
-/// Against [`trailing_window_stats`] over the same series:
-///
-/// * `max`, `min`, and `range` are **bit-identical** — the monotonic
-///   deques select the same extreme values the batch fold does.
-/// * `mean`, `std`, and `wma` are maintained as running sums (sliding a
-///   value out of the window subtracts it back out), so they agree only
-///   within floating-point tolerance: the documented bound, enforced by
-///   the property suite, is `1e-9 · (1 + max|x|)` for `mean`/`wma` and
-///   `1e-6 · (1 + max|x|)` for `std` (the variance difference of two
-///   near-equal sums amplifies cancellation error). The sums re-anchor to
-///   exact zero whenever the window empties of observed values, so drift
-///   does not accumulate across gaps.
-/// * NaN handling is identical: both paths skip missing cells, and an
-///   all-NaN window yields [`WindowStats::missing`] on both sides.
-///
-/// [`stats`]: IncrementalWindow::stats
-#[derive(Debug, Clone)]
-pub struct IncrementalWindow {
-    width: usize,
-    /// Monotonically increasing label for every pushed slot, pairing the
-    /// deque entries with the slot they came from.
-    seq: u64,
-    /// The current window: (seq, value), oldest first, NaN slots included.
-    slots: VecDeque<(u64, f64)>,
-    /// Decreasing-value deque; the front is the window maximum.
-    max_deque: VecDeque<(u64, f64)>,
-    /// Increasing-value deque; the front is the window minimum.
-    min_deque: VecDeque<(u64, f64)>,
-    /// Observed (non-NaN) values currently in the window.
-    n_obs: usize,
-    /// Σ x over observed values.
-    sum: f64,
-    /// Σ x² over observed values.
-    sum_sq: f64,
-    /// Σ i·xᵢ over observed values, weights `1..=n_obs`, oldest = 1.
-    wsum: f64,
-}
-
-impl IncrementalWindow {
-    /// An empty window of capacity `width` observations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `width == 0`.
-    pub fn new(width: usize) -> Result<Self> {
-        if width == 0 {
-            return Err(StatsError::invalid(
-                "IncrementalWindow::new",
-                "width must be positive",
-            ));
-        }
-        Ok(IncrementalWindow {
-            width,
-            seq: 0,
-            slots: VecDeque::with_capacity(width),
-            max_deque: VecDeque::with_capacity(width),
-            min_deque: VecDeque::with_capacity(width),
-            n_obs: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            wsum: 0.0,
-        })
-    }
-
-    /// The configured window width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Slots currently in the window (observed and missing), at most
-    /// [`width`](IncrementalWindow::width).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no value has been pushed yet (or all have slid out — which
-    /// cannot happen, since pushes only ever replace slots once full).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Observed (non-NaN) values currently in the window.
-    pub fn observed(&self) -> usize {
-        self.n_obs
-    }
-
-    /// Slide the window forward by one observation (NaN = missing). O(1)
-    /// amortized: each slot enters and leaves each deque at most once.
-    pub fn push(&mut self, value: f64) {
-        if self.slots.len() == self.width {
-            self.evict_oldest();
-        }
-        self.seq += 1;
-        self.slots.push_back((self.seq, value));
-        if value.is_nan() {
-            return;
-        }
-        self.n_obs += 1;
-        self.sum += value;
-        self.sum_sq += value * value;
-        self.wsum += self.n_obs as f64 * value;
-        while self.max_deque.back().is_some_and(|&(_, v)| v <= value) {
-            self.max_deque.pop_back();
-        }
-        self.max_deque.push_back((self.seq, value));
-        while self.min_deque.back().is_some_and(|&(_, v)| v >= value) {
-            self.min_deque.pop_back();
-        }
-        self.min_deque.push_back((self.seq, value));
-    }
-
-    fn evict_oldest(&mut self) {
-        let Some((evicted_seq, evicted)) = self.slots.pop_front() else {
-            return;
-        };
-        if self
-            .max_deque
-            .front()
-            .is_some_and(|&(s, _)| s == evicted_seq)
-        {
-            self.max_deque.pop_front();
-        }
-        if self
-            .min_deque
-            .front()
-            .is_some_and(|&(s, _)| s == evicted_seq)
-        {
-            self.min_deque.pop_front();
-        }
-        if evicted.is_nan() {
-            return;
-        }
-        // The evicted value is the oldest observed one (weight 1); dropping
-        // it shifts every remaining weight down by one:
-        //   W' = (W − 1·x₁) − (S − x₁) = W − S.
-        self.wsum -= self.sum;
-        self.sum -= evicted;
-        self.sum_sq -= evicted * evicted;
-        self.n_obs -= 1;
-        if self.n_obs == 0 {
-            // Re-anchor: an empty window's sums are exactly zero, so drift
-            // from the subtract-out updates cannot survive a gap.
-            self.sum = 0.0;
-            self.sum_sq = 0.0;
-            self.wsum = 0.0;
-        }
-    }
-
-    /// The six statistics of the current window. All-NaN windows yield
-    /// [`WindowStats::missing`], matching the batch path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInput`] before the first push.
-    pub fn stats(&self) -> Result<WindowStats> {
-        if self.slots.is_empty() {
-            return Err(StatsError::empty("IncrementalWindow::stats"));
-        }
-        if self.n_obs == 0 {
-            return Ok(WindowStats::missing());
-        }
-        let max = self.max_deque.front().map_or(f64::NAN, |&(_, v)| v);
-        let min = self.min_deque.front().map_or(f64::NAN, |&(_, v)| v);
-        let n = self.n_obs as f64;
-        let mean = self.sum / n;
-        let variance = (self.sum_sq / n - mean * mean).max(0.0);
-        let denom = (self.n_obs * (self.n_obs + 1)) as f64 / 2.0;
-        Ok(WindowStats {
-            max,
-            min,
-            mean,
-            std: variance.sqrt(),
-            range: max - min,
-            wma: self.wsum / denom,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,28 +120,6 @@ mod tests {
     #[test]
     fn empty_window_is_error() {
         assert!(WindowStats::compute(&[]).is_err());
-    }
-
-    #[test]
-    fn trailing_window_truncates_at_start() {
-        let series = [10.0, 20.0, 30.0, 40.0];
-        // end = 1, width = 7 -> uses [10, 20]
-        let s = trailing_window_stats(&series, 1, 7).unwrap();
-        assert_eq!(s.mean, 15.0);
-    }
-
-    #[test]
-    fn trailing_window_exact_width() {
-        let series = [10.0, 20.0, 30.0, 40.0];
-        let s = trailing_window_stats(&series, 3, 3).unwrap();
-        assert_eq!(s.mean, 30.0);
-        assert_eq!(s.min, 20.0);
-    }
-
-    #[test]
-    fn trailing_window_rejects_bad_args() {
-        assert!(trailing_window_stats(&[1.0], 0, 0).is_err());
-        assert!(trailing_window_stats(&[1.0], 1, 3).is_err());
     }
 
     #[test]
@@ -388,119 +147,6 @@ mod tests {
         for v in s.to_array() {
             assert!(v.is_nan());
         }
-    }
-
-    /// NaN-aware equality: both NaN, or plain `==`.
-    fn same(a: f64, b: f64) -> bool {
-        (a.is_nan() && b.is_nan()) || a == b
-    }
-
-    /// NaN-aware closeness within `tol`.
-    fn close(a: f64, b: f64, tol: f64) -> bool {
-        (a.is_nan() && b.is_nan()) || (a - b).abs() <= tol
-    }
-
-    fn assert_matches_batch(inc: &WindowStats, batch: &WindowStats, scale: f64) {
-        // Extremes are bit-identical; the running sums carry the
-        // documented fp tolerance (see IncrementalWindow docs).
-        assert!(same(inc.max, batch.max), "max {} vs {}", inc.max, batch.max);
-        assert!(same(inc.min, batch.min), "min {} vs {}", inc.min, batch.min);
-        assert!(
-            same(inc.range, batch.range),
-            "range {} vs {}",
-            inc.range,
-            batch.range
-        );
-        let tight = 1e-9 * (1.0 + scale);
-        let loose = 1e-6 * (1.0 + scale);
-        assert!(
-            close(inc.mean, batch.mean, tight),
-            "mean {} vs {}",
-            inc.mean,
-            batch.mean
-        );
-        assert!(
-            close(inc.wma, batch.wma, tight),
-            "wma {} vs {}",
-            inc.wma,
-            batch.wma
-        );
-        assert!(
-            close(inc.std, batch.std, loose),
-            "std {} vs {}",
-            inc.std,
-            batch.std
-        );
-    }
-
-    #[test]
-    fn incremental_matches_batch_on_simple_series() {
-        let series = [10.0, 20.0, 5.0, 40.0, 40.0, 1.0, 7.0];
-        let mut w = IncrementalWindow::new(3).unwrap();
-        for (end, &v) in series.iter().enumerate() {
-            w.push(v);
-            let inc = w.stats().unwrap();
-            let batch = trailing_window_stats(&series, end, 3).unwrap();
-            assert_matches_batch(&inc, &batch, 40.0);
-        }
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.observed(), 3);
-    }
-
-    #[test]
-    fn incremental_rejects_zero_width_and_empty_stats() {
-        assert!(IncrementalWindow::new(0).is_err());
-        let w = IncrementalWindow::new(3).unwrap();
-        assert!(w.is_empty());
-        assert!(w.stats().is_err());
-    }
-
-    #[test]
-    fn incremental_all_nan_window_is_missing() {
-        let mut w = IncrementalWindow::new(2).unwrap();
-        w.push(5.0);
-        w.push(f64::NAN);
-        assert_eq!(w.observed(), 1);
-        w.push(f64::NAN); // slides the 5.0 out: window is now all-NaN
-        assert_eq!(w.observed(), 0);
-        let s = w.stats().unwrap();
-        for v in s.to_array() {
-            assert!(v.is_nan());
-        }
-        // Recovery after the gap: sums were re-anchored, stats are exact.
-        w.push(3.0);
-        let s = w.stats().unwrap();
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.std, 0.0);
-    }
-
-    #[test]
-    fn prop_incremental_equals_batch() {
-        // The tentpole equivalence proof: over random series with NaN
-        // cells and width-truncated prefixes, the incremental path agrees
-        // with trailing_window_stats at every single day.
-        rng::prop_check!(|g| {
-            let scale = 1e4;
-            let len = g.usize_in(1, 59);
-            let width = g.usize_in(1, 9);
-            let series: Vec<f64> = (0..len)
-                .map(|_| {
-                    if g.f64_in(0.0, 1.0) < 0.25 {
-                        f64::NAN
-                    } else {
-                        g.f64_in(-scale, scale)
-                    }
-                })
-                .collect();
-            let mut w = IncrementalWindow::new(width).unwrap();
-            for (end, &v) in series.iter().enumerate() {
-                w.push(v);
-                let inc = w.stats().unwrap();
-                let batch = trailing_window_stats(&series, end, width).unwrap();
-                assert_matches_batch(&inc, &batch, scale);
-            }
-        });
     }
 
     #[test]
