@@ -21,6 +21,17 @@ pub(crate) fn expected_smart_cols() -> usize {
     3 + 2 * SmartAttribute::ALL.len()
 }
 
+/// Parse a row's day field; both readers share it, so they report the same
+/// message. `u32::MAX` is rejected as unparseable: a run's next day would
+/// overflow there.
+pub(crate) fn parse_day(field: &str) -> Result<u32, String> {
+    field
+        .parse()
+        .ok()
+        .filter(|&day| day < u32::MAX)
+        .ok_or_else(|| format!("bad day {field:?}"))
+}
+
 /// Validate the SMART-log header row (line 1).
 pub(crate) fn check_smart_header(header: &str) -> Result<(), DatasetError> {
     let expected_cols = expected_smart_cols();
@@ -207,9 +218,7 @@ pub fn import_smart_csv<R: BufRead>(
             .map_err(|_| parse_err(format!("bad drive_id {:?}", fields[0])))?;
         let model = DriveModel::from_name(fields[1])
             .ok_or_else(|| parse_err(format!("unknown model {:?}", fields[1])))?;
-        let day: u32 = fields[2]
-            .parse()
-            .map_err(|_| parse_err(format!("bad day {:?}", fields[2])))?;
+        let day = parse_day(fields[2]).map_err(parse_err)?;
 
         let partial = match partials.last_mut() {
             Some(p) if p.id == DriveId(id) => p,

@@ -9,7 +9,7 @@
 
 use super::{IngestTolerance, SkipCounts};
 use crate::attr::SmartAttribute;
-use crate::csv::expected_smart_cols;
+use crate::csv::{expected_smart_cols, parse_day};
 use crate::error::DatasetError;
 use crate::model::DriveModel;
 use crate::records::{DriveId, DriveRecord, FailureRecord};
@@ -105,8 +105,7 @@ fn split_row(line: &str) -> Result<RawRow<'_>, String> {
         .map_err(|_| format!("bad drive_id {field:?}"))?;
     let field = fields[1];
     let model = DriveModel::from_name(field).ok_or_else(|| format!("unknown model {field:?}"))?;
-    let field = fields[2];
-    let day: u32 = field.parse().map_err(|_| format!("bad day {field:?}"))?;
+    let day = parse_day(fields[2])?;
     Ok(RawRow {
         id,
         model,

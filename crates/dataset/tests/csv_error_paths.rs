@@ -161,6 +161,13 @@ fn corrupted_rows_report_identical_diagnostics_from_both_readers() {
             "bad day \"soon\"".to_string(),
         ),
         (
+            // The first row of a run: its next day would overflow u32.
+            "day u32::MAX",
+            2,
+            max_day_row(&fix.csv),
+            "bad day \"4294967295\"".to_string(),
+        ),
+        (
             "non-contiguous day",
             deep,
             {
@@ -219,6 +226,43 @@ fn corrupted_rows_report_identical_diagnostics_from_both_readers() {
             message.contains(fragment.as_str()),
             "{case}: message {message:?} lacks {fragment:?}"
         );
+    }
+}
+
+/// Line 2 — the first row of drive 0's run — with its day set to
+/// `u32::MAX`.
+fn max_day_row(csv: &str) -> String {
+    let mut fields: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
+    fields[2] = "4294967295";
+    fields.join(",")
+}
+
+#[test]
+fn max_day_is_a_bad_day_strict_and_malformed_tolerant() {
+    let fix = fixture();
+    let input = corrupt_line(&fix.csv, 2, &max_day_row(&fix.csv));
+    let (line, message) = assert_same_error(&fix, &input, "day u32::MAX");
+    assert_eq!((line, message.as_str()), (2, "bad day \"4294967295\""));
+    for workers in [1, 4] {
+        for shard_rows in [1, 37, 1_000_000] {
+            let ingest = IngestConfig {
+                shard_rows,
+                workers,
+                tolerance: IngestTolerance::Tolerant,
+                ..IngestConfig::default()
+            };
+            let (_, stats) = import_smart_csv_sharded_with_stats(
+                input.as_bytes(),
+                &fix.tickets,
+                fix.config.clone(),
+                &ingest,
+            )
+            .expect("tolerant import skips the row");
+            assert_eq!(
+                stats.skipped.malformed_rows, 1,
+                "workers={workers} shard_rows={shard_rows}"
+            );
+        }
     }
 }
 

@@ -14,6 +14,7 @@ use smart_dataset::{
     TroubleTicket,
 };
 use sync::{Arc, Mutex};
+use telemetry::serve::http_get;
 
 /// The fixed-seed fleet every daemon in this suite replays.
 fn fleet() -> Fleet {
@@ -95,11 +96,11 @@ fn report_route_serves_valid_json_over_http() {
     let shared = Arc::new(Mutex::new(daemon));
     let server =
         listener::start("127.0.0.1:0", Arc::clone(&shared), "serve-e2e-http").expect("bind");
-    let (status, body) = listener::http_get(server.addr(), "/report").expect("GET /report");
+    let (status, body) = http_get(server.addr(), "/report").expect("GET /report");
     assert!(status.contains("200 OK"), "{status}");
     let report: telemetry::RunReport = json::from_str(&body).expect("parse /report body");
     report.validate_tree().expect("consistent span tree");
-    let (status, body) = listener::http_get(server.addr(), "/metrics").expect("GET /metrics");
+    let (status, body) = http_get(server.addr(), "/metrics").expect("GET /metrics");
     assert!(status.contains("200 OK"), "{status}");
     assert!(
         body.lines()

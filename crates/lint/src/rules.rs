@@ -115,10 +115,10 @@ pub fn all_rules() -> Vec<RuleMeta> {
         RuleMeta {
             id: "side-effects",
             summary: "Instant::now/env::var/stderr only in telemetry, bench, and bins; \
-                      sockets only in the metrics endpoint",
+                      sockets only in telemetry's one listener",
             rationale: "library hot paths must stay pure and reproducible; clocks, environment \
                         reads, and stderr writes belong to the observability layer, and network \
-                        I/O belongs to smart-telemetry's serve/watchdog modules alone \
+                        I/O belongs to smart-telemetry's serve module alone \
                         (DESIGN.md §6)",
         },
         RuleMeta {
@@ -452,17 +452,16 @@ fn use_roots(code: &[Token], mut i: usize) -> Vec<(String, usize)> {
 
 const ENV_CALLS: &[&str] = &["var", "var_os", "vars", "set_var", "remove_var"];
 const CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
-const NET_TYPES: &[&str] = &["TcpListener", "TcpStream", "UdpSocket"];
+/// Socket types the `side-effects` rule flags outside [`NET_ALLOWED_FILES`].
+pub const NET_TYPES: &[&str] = &["TcpListener", "TcpStream", "UdpSocket"];
 
-/// The only files allowed to touch the network: the live metrics endpoint,
-/// the watchdog (DESIGN.md §6), and the smart-serve query listener
-/// (DESIGN.md §14). The exemption is by exact path, not by crate — even
-/// the rest of those crates, and every bin, stays socket-free.
-const NET_ALLOWED_FILES: &[&str] = &[
-    "crates/telemetry/src/serve.rs",
-    "crates/telemetry/src/watchdog.rs",
-    "crates/serve/src/listener.rs",
-];
+/// The only file allowed to touch the network: smart-telemetry's one TCP
+/// listener, which serves both the metrics endpoint and the smart-serve
+/// line protocol (DESIGN.md §6, §14). The exemption is by exact path, not
+/// by crate — even the rest of that crate, and every bin, stays
+/// socket-free. The self-check test fails if a listed file is missing or
+/// names no socket type, so the list cannot go stale.
+pub const NET_ALLOWED_FILES: &[&str] = &["crates/telemetry/src/serve.rs"];
 
 /// Rule `side-effects`: wall-clock reads, environment access, and stderr
 /// writes only in [`SIDE_EFFECT_EXEMPT_CRATES`], bins, and tests; socket
@@ -544,7 +543,7 @@ fn network_access(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 "side-effects",
                 format!(
                     "{} opens network I/O; sockets are allowed only in smart-telemetry's \
-                     serve/watchdog modules and smart-serve's listener (DESIGN.md §6, §14)",
+                     serve module (DESIGN.md §6, §14)",
                     t.text
                 ),
             ));

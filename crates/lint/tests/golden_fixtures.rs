@@ -204,11 +204,11 @@ fn network_access_flags_sockets_in_library_code() {
 #[test]
 fn network_access_exemption_is_by_path_not_by_crate() {
     // The blanket smart-telemetry side-effects exemption must NOT cover
-    // sockets: only the two endpoint files are allowed them.
+    // sockets: only the listener file is allowed them.
     let telemetry = check("network_bad.rs", "smart-telemetry", false);
     assert!(
         hits(&telemetry).iter().any(|(r, _)| r == "side-effects"),
-        "sockets outside serve/watchdog must flag even in smart-telemetry: got {:?}",
+        "sockets outside telemetry's serve.rs must flag even in smart-telemetry: got {:?}",
         hits(&telemetry)
     );
     // Bins are exempt from clocks/env/stderr but not from sockets.
@@ -227,21 +227,23 @@ fn network_access_exemption_is_by_path_not_by_crate() {
 
 #[test]
 fn network_access_allowed_only_in_the_endpoint_files() {
-    for (path, package) in [
-        ("crates/telemetry/src/serve.rs", "smart-telemetry"),
-        ("crates/telemetry/src/watchdog.rs", "smart-telemetry"),
-        ("crates/serve/src/listener.rs", "smart-serve"),
-    ] {
-        let outcome = check_at_path("network_bad.rs", path, package, TargetKind::Lib);
-        assert!(
-            !hits(&outcome).iter().any(|(r, _)| r == "side-effects"),
-            "{path}: got {:?}",
-            hits(&outcome)
-        );
-    }
-    // Near-miss paths get no exemption — in either crate.
+    let outcome = check_at_path(
+        "network_bad.rs",
+        "crates/telemetry/src/serve.rs",
+        "smart-telemetry",
+        TargetKind::Lib,
+    );
+    assert!(
+        !hits(&outcome).iter().any(|(r, _)| r == "side-effects"),
+        "crates/telemetry/src/serve.rs: got {:?}",
+        hits(&outcome)
+    );
+    // Near-miss paths get no exemption — in either crate, including the
+    // two files that used to be allowlisted.
     for (path, package) in [
         ("crates/telemetry/src/serve_extra.rs", "smart-telemetry"),
+        ("crates/telemetry/src/watchdog.rs", "smart-telemetry"),
+        ("crates/serve/src/listener.rs", "smart-serve"),
         ("crates/serve/src/daemon.rs", "smart-serve"),
     ] {
         let near_miss = check_at_path("network_bad.rs", path, package, TargetKind::Lib);

@@ -4,7 +4,8 @@
 
 use std::path::Path;
 
-use lint::{lint_workspace, LintReport};
+use lint::rules::{NET_ALLOWED_FILES, NET_TYPES};
+use lint::{lint_workspace, LintReport, SourceFile, TargetKind};
 
 fn workspace_root() -> &'static Path {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -59,4 +60,20 @@ fn report_from_workspace_run_validates() {
     let report = LintReport::from_outcome("self-check", &outcome);
     report.validate().expect("report invariants");
     assert!(report.active_rules() >= 5, "rule set shrank unexpectedly");
+}
+
+#[test]
+fn every_socket_allowlisted_file_exists_and_names_a_socket_type() {
+    for path in NET_ALLOWED_FILES {
+        let source = std::fs::read_to_string(workspace_root().join(path))
+            .unwrap_or_else(|e| panic!("allowlisted {path} is unreadable: {e}"));
+        let file = SourceFile::parse(path, "", TargetKind::Lib, false, &source);
+        assert!(
+            file.code
+                .iter()
+                .any(|t| NET_TYPES.contains(&t.text.as_str()) && !file.in_test(t.line)),
+            "allowlisted {path} names none of {NET_TYPES:?} outside test code; drop it from \
+             NET_ALLOWED_FILES"
+        );
+    }
 }

@@ -19,12 +19,12 @@
 //!    wear-out threshold appears, disappears, or moves past tolerance,
 //!    the daemon re-runs [`wefr_core::Wefr::select`] and retrains the
 //!    failure predictor, emitting one telemetry span per cycle.
-//! 4. **Queries** ([`protocol`], [`listener`]) — a line-protocol TCP
-//!    listener answers `SCORE <drive>`, `FEATURES`, and `STATUS`, plus an
-//!    HTTP-ish `GET /report` that returns the smart-json run report. The
-//!    listener is the only file in the crate allowed to touch sockets
-//!    (the smart-lint `network_access` allowlist), and shuts down through
-//!    the [`smart_sync::shutdown::StopFlag`] handshake.
+//! 4. **Queries** ([`protocol`], [`listener`]) — a line protocol answers
+//!    `SCORE <drive>`, `FEATURES`, and `STATUS` as a session on
+//!    smart-telemetry's one TCP listener, which also serves `GET /metrics`
+//!    and `GET /report` on the same port and shuts down through the
+//!    [`smart_sync::shutdown::StopFlag`] handshake. The crate itself names
+//!    no socket type.
 //!
 //! All query output is deterministic: state lives in `BTreeMap`s, scores
 //! come from the deterministic forest, and responses carry no clocks or
@@ -41,5 +41,4 @@ pub mod protocol;
 
 pub use daemon::{CycleReport, Daemon, ServeConfig};
 pub use error::ServeError;
-pub use listener::ServeListener;
 pub use protocol::Request;

@@ -30,6 +30,7 @@ use smart_dataset::{
     TroubleTicket,
 };
 use sync::{Arc, Mutex};
+use telemetry::serve::http_get;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -127,7 +128,7 @@ fn smoke() -> Result<(), String> {
         println!("> {command}");
         println!("{response}");
     }
-    let (status, body) = listener::http_get(server.addr(), "/report").map_err(|e| e.to_string())?;
+    let (status, body) = http_get(server.addr(), "/report").map_err(|e| e.to_string())?;
     if !status.contains("200") {
         return Err(format!("GET /report answered {status}"));
     }

@@ -3,7 +3,7 @@
 //!
 //! Every hand-rolled concurrent structure in the workspace — the ingest
 //! pipeline's [`queue::BoundedQueue`] / [`queue::ReorderBuffer`], the
-//! telemetry watchdog's condvar handshake, the metrics listener's shutdown
+//! telemetry watchdog's condvar handshake, the TCP listener's shutdown
 //! wake — builds on the primitives exported here instead of `std::sync`
 //! directly (the `sync-hygiene` lint rule enforces this). The payoff is a
 //! single compile-time switch:

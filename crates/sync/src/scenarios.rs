@@ -3,15 +3,14 @@
 //!
 //! Each scenario is a closure exercising the *real* ported code —
 //! [`crate::queue::BoundedQueue`], [`crate::queue::ReorderBuffer`],
-//! [`crate::shutdown::StopFlag`], and the metrics listener's shutdown-wake
-//! shape — under [`crate::model::explore`]. The suite runs from
-//! `tests/model_suite.rs` and from the `check_model_coverage` bin, which
-//! asserts the committed schedule floors below and determinism across
-//! runs.
+//! [`crate::shutdown::StopFlag`], and the TCP listener's `StopFlag`
+//! shutdown-wake shape — under [`crate::model::explore`]. The suite runs
+//! from `tests/model_suite.rs` and from the `check_model_coverage` bin,
+//! which asserts the committed schedule floors below and determinism
+//! across runs.
 
 use std::time::Duration;
 
-use crate::atomic::{AtomicBool, Ordering};
 use crate::model::{check, Config, Report};
 use crate::queue::{BoundedQueue, DuplicateIndex, ReorderBuffer};
 use crate::shutdown::StopFlag;
@@ -75,7 +74,7 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "serve_shutdown_wake_terminates_listener",
-            min_schedules: 95,
+            min_schedules: 115,
             runner: serve_shutdown_wake_terminates_listener,
         },
     ]
@@ -240,20 +239,21 @@ fn watchdog_shutdown_always_terminates(config: &Config) -> Report {
     })
 }
 
-/// The metrics listener's shutdown wake, modeled: the accept loop is a
-/// blocking pop, `stop()` is flag-store *then* wake-connect (the order
-/// `serve.rs` uses). The listener must exit on every schedule — including
-/// the one where it is mid-accept when the flag flips.
+/// The TCP listener's shutdown wake, modeled: the accept loop is a
+/// blocking pop that checks [`StopFlag::is_stopped`] per connection, and
+/// `stop()` is [`StopFlag::stop`] *then* wake-connect (the order
+/// telemetry's `serve.rs` uses). The listener must exit on every schedule
+/// — including the one where it is mid-accept when the flag flips.
 fn serve_shutdown_wake_terminates_listener(config: &Config) -> Report {
     check("serve_shutdown_wake_terminates_listener", config, || {
         let conns: BoundedQueue<u8> = BoundedQueue::new(4);
-        let stopping = AtomicBool::new(false);
+        let flag = StopFlag::new();
         assert!(conns.push(1), "a client connection is already pending");
         thread::scope(|scope| {
             let listener = scope.spawn(|| {
                 let mut handled = 0u32;
                 while let Some(_conn) = conns.pop() {
-                    if stopping.load(Ordering::SeqCst) {
+                    if flag.is_stopped() {
                         break;
                     }
                     handled += 1; // serve the request
@@ -262,11 +262,11 @@ fn serve_shutdown_wake_terminates_listener(config: &Config) -> Report {
             });
             // serve.rs shutdown order: raise the flag, then the loopback
             // connect that unblocks accept().
-            stopping.store(true, Ordering::SeqCst);
+            flag.stop();
             assert!(conns.push(0), "wake connection");
             let handled = listener.join().unwrap();
             assert!(handled <= 1, "at most the pre-stop connection is served");
         });
-        assert!(stopping.load(Ordering::SeqCst));
+        assert!(flag.is_stopped());
     })
 }

@@ -1,5 +1,5 @@
 //! Shutdown handshake for monitor threads (the telemetry watchdog and
-//! metrics listener): a boolean stop flag behind a [`Mutex`] + [`Condvar`]
+//! the TCP listener): a boolean stop flag behind a [`Mutex`] + [`Condvar`]
 //! pair, so a poll loop can sleep on the condvar and still be woken
 //! promptly by [`StopFlag::stop`] — no full poll interval is ever waited
 //! out during teardown, and no stop can be lost (the flag is checked under

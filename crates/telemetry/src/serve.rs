@@ -1,7 +1,7 @@
-//! Live metrics exposition over plain TCP (DESIGN.md §6): the first brick
-//! of the `smart-serve` daemon (ROADMAP item 1).
+//! The workspace's one TCP listener, and the only file allowed to name a
+//! socket type (the smart-lint `network_access` allowlist; DESIGN.md §6).
 //!
-//! [`start`] binds a std-only listener and answers two read-only routes:
+//! [`listen`] answers a first line starting `GET ` itself, on two routes:
 //!
 //! * `GET /metrics` — Prometheus-style text exposition: every counter and
 //!   gauge, each histogram as cumulative `_bucket{le="..."}` lines plus
@@ -11,18 +11,25 @@
 //! * `GET /report` — the full smart-json run-report snapshot, exactly what
 //!   [`crate::write_run_report`] would write, but captured mid-run.
 //!
+//! Other paths get a 404. Any other first line goes, with the connection,
+//! to the caller's session: [`start`] answers `400 malformed request`, and
+//! smart-serve runs its line protocol (DESIGN.md §14). Each line, and an
+//! HTTP request line plus its headers together, are capped at 8 KiB; past
+//! the cap the connection is dropped. HTTP responses are counted in
+//! `serve.requests` and `serve.response_bytes`.
+//!
 //! Off by default: nothing binds unless [`start`] (or [`start_from_env`]
-//! with `WEFR_METRICS_ADDR` set) is called. Responses are snapshots — the
-//! server never mutates collector state — and the listener thread shuts
-//! down through an explicit handshake in [`MetricsServer::stop`] (also run
-//! on drop), so runs stay clean-exiting and stdout stays untouched.
+//! with `WEFR_METRICS_ADDR` set) or smart-serve calls [`listen`].
+//! [`Listener::stop`] (also run on drop) raises a [`StopFlag`], wakes
+//! `accept()` with a loopback connection, and joins the thread, so runs
+//! exit cleanly; nothing here writes to stdout.
 
-use std::io::{Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sync::atomic::{AtomicBool, Ordering};
+use sync::shutdown::StopFlag;
 
 use crate::{snapshot, RunReport};
 
@@ -33,23 +40,30 @@ pub const ENV_METRICS_ADDR: &str = "WEFR_METRICS_ADDR";
 /// How long a connection may dawdle before the server gives up on it.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Handle to a running metrics listener. Stop it explicitly with
-/// [`MetricsServer::stop`]; dropping the handle performs the same clean
+/// Longest line the server reads, and the cap on an HTTP request line and
+/// its headers together.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// Content type of the plain-text error responses.
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// Handle to a running listener. Stop it explicitly with
+/// [`Listener::stop`]; dropping the handle performs the same clean
 /// shutdown.
-pub struct MetricsServer {
+pub struct Listener {
     addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
+    stop: Arc<StopFlag>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl MetricsServer {
+impl Listener {
     /// The bound address — useful when started on port 0.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Shut the listener down: flag the accept loop, wake it with a
-    /// loopback connection, and join the thread.
+    /// Shut the listener down: raise the stop flag, wake the accept loop
+    /// with a loopback connection, and join the thread.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -58,7 +72,7 @@ impl MetricsServer {
         let Some(thread) = self.thread.take() else {
             return;
         };
-        self.stopping.store(true, Ordering::SeqCst);
+        self.stop.stop();
         // The accept loop blocks in accept(); a throwaway connection is the
         // portable way to wake it so the stop flag is observed promptly.
         if let Ok(stream) = TcpStream::connect_timeout(&self.addr, CLIENT_TIMEOUT) {
@@ -68,50 +82,66 @@ impl MetricsServer {
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for Listener {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// Bind `addr` and serve `/metrics` and `/report` snapshots labeled `run`
-/// from a background thread until the returned handle is stopped or
-/// dropped.
+/// Bind `addr` and serve one connection at a time from a background
+/// thread until the returned handle is stopped or dropped. `GET` requests
+/// get the `/metrics` and `/report` snapshots labeled `run`; any other
+/// first line is handed to `session` with the connection's buffered read
+/// half and its write half.
 ///
 /// # Errors
 ///
 /// Propagates bind and thread-spawn failures.
-pub fn start(addr: &str, run: &str) -> std::io::Result<MetricsServer> {
+pub fn listen<S>(addr: &str, run: &str, session: S) -> io::Result<Listener>
+where
+    S: Fn(String, &mut BufReader<TcpStream>, &mut TcpStream) -> io::Result<()> + Send + 'static,
+{
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let stopping = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stopping);
+    let stop = Arc::new(StopFlag::new());
+    let flag = Arc::clone(&stop);
     let run = run.to_string();
-    let thread = std::thread::Builder::new()
-        .name("wefr-metrics".to_string())
-        .spawn(move || {
-            for connection in listener.incoming() {
-                if flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = connection {
-                    // One slow or broken client must not take the endpoint
-                    // down; errors just close that connection.
-                    let _ = handle_connection(stream, &run);
-                }
+    let thread = std::thread::Builder::new().spawn(move || {
+        for connection in listener.incoming() {
+            if flag.is_stopped() {
+                break;
             }
-        })?;
-    Ok(MetricsServer {
+            if let Ok(stream) = connection {
+                // One slow or broken client must not take the endpoint
+                // down; errors just close that connection.
+                let _ = serve_connection(stream, &run, &session);
+            }
+        }
+    })?;
+    Ok(Listener {
         addr,
-        stopping,
+        stop,
         thread: Some(thread),
+    })
+}
+
+/// Bind `addr` and serve `/metrics` and `/report` snapshots labeled `run`
+/// until the returned handle is stopped or dropped; a first line that is
+/// not a `GET` is answered `400 malformed request`.
+///
+/// # Errors
+///
+/// Propagates bind and thread-spawn failures.
+pub fn start(addr: &str, run: &str) -> io::Result<Listener> {
+    listen(addr, run, |_, _, writer| {
+        write_response(writer, "400 Bad Request", TEXT, "malformed request\n")
     })
 }
 
 /// [`start`] on the address named by `WEFR_METRICS_ADDR`. Returns `None`
 /// when the variable is unset or empty; bind failures are reported as a
 /// telemetry error event (and `None`) rather than aborting the run.
-pub fn start_from_env(run: &str) -> Option<MetricsServer> {
+pub fn start_from_env(run: &str) -> Option<Listener> {
     let addr = std::env::var(ENV_METRICS_ADDR).ok()?;
     let addr = addr.trim();
     if addr.is_empty() {
@@ -129,65 +159,139 @@ pub fn start_from_env(run: &str) -> Option<MetricsServer> {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, run: &str) -> std::io::Result<()> {
+/// Connect to a listener at `addr`, returning the buffered read half and
+/// the write half, with the server's timeouts.
+///
+/// # Errors
+///
+/// Propagates connection failures.
+pub fn connect(addr: SocketAddr) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
+    halves(TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT)?)
+}
+
+/// `GET path` from `addr`, returning `(status line, body)`.
+///
+/// # Errors
+///
+/// Propagates connection and read/write failures.
+pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(String, String)> {
+    let (mut reader, mut writer) = connect(addr)?;
+    writer.write_all(format!("GET {path} HTTP/1.1\r\nHost: wefr\r\n\r\n").as_bytes())?;
+    writer.flush()?;
+    let mut raw = String::new();
+    reader.read_to_string(&mut raw)?;
+    let status = raw.lines().next().unwrap_or_default().to_string();
+    let body = raw
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    Ok((status, body))
+}
+
+/// [`BufRead::read_line`] capped at 8 KiB: a line that hits the cap
+/// without a `\n` is an `InvalidData` error, which drops the connection.
+///
+/// # Errors
+///
+/// Propagates read failures, and fails on an over-long line.
+pub fn read_line_bounded<R: BufRead>(reader: &mut R, line: &mut String) -> io::Result<usize> {
+    read_capped_line(&mut reader.take(MAX_REQUEST_BYTES), line)
+}
+
+/// Read one line through `head`'s remaining budget. A line that runs out
+/// of budget before its `\n` is an `InvalidData` error.
+fn read_capped_line<R: BufRead>(head: &mut Take<R>, line: &mut String) -> io::Result<usize> {
+    let n = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "request exceeds the length cap",
+        ));
+    }
+    Ok(n)
+}
+
+/// Apply the client timeouts and split `stream` into a buffered read half
+/// and a write half.
+fn halves(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    let path = read_request_path(&mut stream)?;
-    let (status, content_type, body) = match path.as_deref() {
-        Some("/metrics") => (
+    Ok((BufReader::new(stream.try_clone()?), stream))
+}
+
+/// Read a connection's first line and route it: a `GET` to the HTTP
+/// router, anything else to `session`.
+fn serve_connection<S>(stream: TcpStream, run: &str, session: &S) -> io::Result<()>
+where
+    S: Fn(String, &mut BufReader<TcpStream>, &mut TcpStream) -> io::Result<()>,
+{
+    let (mut reader, mut writer) = halves(stream)?;
+    let mut line = String::new();
+    if read_line_bounded(&mut reader, &mut line)? == 0 {
+        return Ok(());
+    }
+    if line.starts_with("GET ") {
+        answer_http(&line, &mut reader, &mut writer, run)
+    } else {
+        session(line, &mut reader, &mut writer)
+    }
+}
+
+/// Drain the headers after `request_line` and answer its path. The request
+/// line and the headers share one cap; the head ends at an empty line or
+/// EOF.
+fn answer_http<R: BufRead, W: Write>(
+    request_line: &str,
+    reader: &mut R,
+    writer: &mut W,
+    run: &str,
+) -> io::Result<()> {
+    let mut head = reader.take(MAX_REQUEST_BYTES.saturating_sub(request_line.len() as u64));
+    let mut line = String::new();
+    loop {
+        line.clear();
+        read_capped_line(&mut head, &mut line)?;
+        if line.trim_end_matches(['\r', '\n']).is_empty() {
+            break;
+        }
+    }
+    let path = request_line.split_whitespace().nth(1).unwrap_or_default();
+    let (status, content_type, body) = match path {
+        "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             render_metrics(&snapshot(run)),
         ),
-        Some("/report") => {
+        "/report" => {
             let mut body = json::to_string_pretty(&snapshot(run));
             body.push('\n');
             ("200 OK", "application/json; charset=utf-8", body)
         }
-        Some(_) => (
+        _ => (
             "404 Not Found",
-            "text/plain; charset=utf-8",
+            TEXT,
             "not found; routes: /metrics /report\n".to_string(),
         ),
-        None => (
-            "400 Bad Request",
-            "text/plain; charset=utf-8",
-            "malformed request\n".to_string(),
-        ),
     };
-    stream.write_all(http_response(status, content_type, &body).as_bytes())?;
-    stream.flush()
+    write_response(writer, status, content_type, &body)
 }
 
-/// Assemble a minimal `HTTP/1.1` response: status line, `Content-Type`,
-/// `Content-Length`, `Connection: close`, then `body`. Shared with the
-/// smart-serve listener so both endpoints speak identical framing.
-pub fn http_response(status: &str, content_type: &str, body: &str) -> String {
-    format!(
+/// Write a minimal `HTTP/1.1` response — status line, `Content-Type`,
+/// `Content-Length`, `Connection: close`, then `body` — and count it.
+fn write_response<W: Write>(
+    writer: &mut W,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> io::Result<()> {
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-}
-
-/// Read up to the end of the request headers and return the path of a
-/// `GET <path> ...` request line, or `None` when the line is not a GET.
-fn read_request_path(stream: &mut TcpStream) -> std::io::Result<Option<String>> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 256];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8 * 1024 {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let text = String::from_utf8_lossy(&buf);
-    let request_line = text.lines().next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    match (parts.next(), parts.next()) {
-        (Some("GET"), Some(path)) => Ok(Some(path.to_string())),
-        _ => Ok(None),
-    }
+    );
+    crate::counter_add("serve.requests", 1);
+    crate::histogram_observe("serve.response_bytes", response.len() as f64);
+    writer.write_all(response.as_bytes())?;
+    writer.flush()
 }
 
 /// A metric name in exposition form: `wefr_` prefix, every character
@@ -218,7 +322,7 @@ fn expo_f64(value: f64) -> String {
 }
 
 /// Render the snapshot as Prometheus-style text exposition.
-pub fn render_metrics(report: &RunReport) -> String {
+fn render_metrics(report: &RunReport) -> String {
     let mut out = String::new();
     let mut dropped_listed = false;
     for counter in &report.counters {
@@ -268,4 +372,56 @@ pub fn render_metrics(report: &RunReport) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::ErrorKind::{TimedOut, WouldBlock};
+
+    #[test]
+    fn unknown_path_is_a_404_listing_the_routes() {
+        let server = start("127.0.0.1:0", "serve-test").unwrap();
+        let (status, body) = http_get(server.addr(), "/nope").unwrap();
+        assert_eq!(status, "HTTP/1.1 404 Not Found");
+        assert_eq!(body, "not found; routes: /metrics /report\n");
+        server.stop();
+    }
+
+    #[test]
+    fn non_get_first_line_is_a_400_malformed_request() {
+        let server = start("127.0.0.1:0", "serve-test").unwrap();
+        let (mut reader, mut writer) = connect(server.addr()).unwrap();
+        writer
+            .write_all(b"POST /metrics HTTP/1.1\r\nHost: wefr\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        reader.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+        assert!(reply.ends_with("\r\n\r\nmalformed request\n"), "{reply}");
+        server.stop();
+    }
+
+    #[test]
+    fn newline_free_flood_is_dropped_without_a_reply() {
+        let server = start("127.0.0.1:0", "serve-test").unwrap();
+        let (mut reader, mut writer) = connect(server.addr()).unwrap();
+        // Half the server's timeout: the connection must be dropped at the
+        // cap, not left open until the server gives up on it.
+        writer.set_read_timeout(Some(CLIENT_TIMEOUT / 2)).unwrap();
+        // The server hangs up mid-write, so the write may fail; either way
+        // no reply may come back.
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+        let mut reply = Vec::new();
+        if let Err(e) = reader.read_to_end(&mut reply) {
+            assert!(
+                !matches!(e.kind(), TimedOut | WouldBlock),
+                "connection left open: {e}"
+            );
+        }
+        assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+        let (status, _) = http_get(server.addr(), "/metrics").unwrap();
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        server.stop();
+    }
 }
