@@ -2,19 +2,17 @@
 //!
 //! The paper runs the five feature-selection approaches in parallel, which
 //! is why WEFR's runtime tracks the slowest single approach (Exp#4,
-//! Table VIII). Rankers run on scoped worker threads (`std::thread::scope`),
-//! one per ranker by default, or on a bounded pool via
-//! [`run_rankers_with_threads`].
+//! Table VIII). Each ranker runs on its own scoped thread
+//! (`std::thread::scope`).
 
 use crate::error::WefrError;
 use crate::ranker::FeatureRanker;
 use crate::ranking::FeatureRanking;
 use smart_stats::FeatureMatrix;
 
-/// Run every ranker over the same data, in parallel, returning the named
-/// rankings in input order.
-///
-/// Equivalent to [`run_rankers_with_threads`] with one worker per ranker.
+/// Run every ranker over the same data, one thread per ranker, returning
+/// the named rankings in input order — bit-identical to calling each
+/// ranker's `rank` in turn.
 ///
 /// # Errors
 ///
@@ -26,72 +24,32 @@ pub fn run_rankers(
     data: &FeatureMatrix,
     labels: &[bool],
 ) -> Result<Vec<(String, FeatureRanking)>, WefrError> {
-    run_rankers_with_threads(rankers, data, labels, rankers.len().max(1))
-}
-
-/// Run every ranker over the same data on at most `max_threads` scoped
-/// worker threads, returning the named rankings in input order.
-///
-/// Rankers are dealt to workers round-robin by index, so the assignment —
-/// and therefore the result, which is ordered by ranker index regardless of
-/// completion order — is independent of scheduling. Results are
-/// bit-identical across `max_threads` values; the knob only trades latency
-/// for parallelism.
-///
-/// # Errors
-///
-/// Returns [`WefrError::RankerFailed`] for the first ranker (in input
-/// order) that failed, and [`WefrError::InvalidInput`] when no rankers are
-/// given or `max_threads` is zero.
-pub fn run_rankers_with_threads(
-    rankers: &[Box<dyn FeatureRanker>],
-    data: &FeatureMatrix,
-    labels: &[bool],
-    max_threads: usize,
-) -> Result<Vec<(String, FeatureRanking)>, WefrError> {
     if rankers.is_empty() {
         return Err(WefrError::InvalidInput {
             message: "no rankers configured".to_string(),
         });
     }
-    if max_threads == 0 {
-        return Err(WefrError::InvalidInput {
-            message: "max_threads must be at least 1".to_string(),
-        });
-    }
 
-    let workers = max_threads.min(rankers.len());
-    let fanout = telemetry::span!("rankers", total = rankers.len(), workers = workers);
+    let fanout = telemetry::span!("rankers", total = rankers.len(), workers = rankers.len());
     let fanout_id = fanout.id();
     let results: Vec<Result<FeatureRanking, WefrError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
+        let handles: Vec<_> = rankers
+            .iter()
+            .map(|ranker| {
                 scope.spawn(move || {
-                    rankers
-                        .iter()
-                        .enumerate()
-                        .skip(worker)
-                        .step_by(workers)
-                        .map(|(index, ranker)| {
-                            let span = telemetry::span_child_of(fanout_id, ranker.name());
-                            let result = ranker.rank(data, labels);
-                            span.record("ok", result.is_ok());
-                            telemetry::counter_add("rankers.completed", 1);
-                            (index, result)
-                        })
-                        .collect::<Vec<_>>()
+                    let span = telemetry::span_child_of(fanout_id, ranker.name());
+                    let result = ranker.rank(data, labels);
+                    span.record("ok", result.is_ok());
+                    telemetry::counter_add("rankers.completed", 1);
+                    result
                 })
             })
             .collect();
-        let mut indexed: Vec<(usize, Result<FeatureRanking, WefrError>)> = handles
+        handles
             .into_iter()
-            // lint:allow(panic-free) a worker panic is already a bug; join
-            // can only fail by propagating it, and re-raising here keeps the
-            // scoped-thread invariant visible instead of losing results
-            .flat_map(|h| h.join().expect("ranker thread must not panic"))
-            .collect();
-        indexed.sort_by_key(|(index, _)| *index);
-        indexed.into_iter().map(|(_, result)| result).collect()
+            // A ranker panic is already a bug: re-raise it on the caller.
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
 
     rankers
@@ -163,17 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_results() {
-        let (m, l) = data();
-        let rankers = default_rankers(4);
-        let baseline = run_rankers_with_threads(&rankers, &m, &l, 1).unwrap();
-        for threads in [2, 3, 5, 8] {
-            let run = run_rankers_with_threads(&rankers, &m, &l, threads).unwrap();
-            assert_eq!(run, baseline, "results diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn failure_is_attributed_to_the_ranker() {
         let (m, _) = data();
         let one_class = vec![true; m.n_rows()];
@@ -192,6 +139,5 @@ mod tests {
     fn empty_ranker_list_is_invalid() {
         let (m, l) = data();
         assert!(run_rankers(&[], &m, &l).is_err());
-        assert!(run_rankers_with_threads(&default_rankers(1), &m, &l, 0).is_err());
     }
 }

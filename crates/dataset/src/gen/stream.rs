@@ -2,37 +2,29 @@
 //!
 //! [`crate::fleet::Fleet::generate`] materializes every drive before the
 //! pipeline sees the first one, capping experiments at toy fleet sizes.
-//! This module turns the simulator into a *source* shaped exactly like the
-//! sharded CSV reader: drive trajectories are generated on scoped worker
-//! threads in contiguous-id chunks and delivered to the consumer as the
-//! same [`DriveBatch`] unit [`crate::ingest::stream_drive_batches`]
-//! produces, strictly in drive-id order:
-//!
-//! ```text
-//! producer ──chunk descriptors──▶ BoundedQueue ──▶ workers ──▶ ReorderBuffer ──▶ merger
-//!  (1 thread)                     (backpressure)   (N threads)  (id order)      (caller)
-//! ```
+//! This module turns the simulator into a *source* that runs on the same
+//! ordered worker pipeline as [`crate::ingest::stream_drive_batches`]
+//! (`sync::pipeline`, whose module docs describe the threads, the bounded
+//! queue and reorder window, and the abort paths) and delivers the same
+//! [`DriveBatch`] unit, strictly in drive-id order. Here the producer
+//! schedules contiguous-id chunks, each worker generates one, and the
+//! merge step collects the churn replacements.
 //!
 //! Chunk independence: a drive's entire trajectory is a function of
 //! `(config, global_index)` only — `fleet::drive_rng` derives the
 //! per-drive RNG stream from the master seed and the index, never from
 //! fleet iteration state — so any contiguous id range can be generated
-//! without touching the rest of the fleet. The merger restores id order,
-//! which makes the concatenated output *bit-identical* to
+//! without touching the rest of the fleet. Merging in id order makes the
+//! concatenated output *bit-identical* to
 //! [`crate::fleet::Fleet::generate`] at every chunk-size/worker setting.
 //!
 //! The adversarial scenario post-pass (DESIGN.md §11) is applied inside
 //! the workers, per drive: every perturbation except the replacement-id
-//! assignment is drive-local, and the merger numbers churn replacements in
-//! victim order past the densest original id — matching the whole-fleet
-//! [`crate::gen::scenario::apply_scenario`] bit for bit (replacement
-//! batches trail the original population, exactly where `apply_scenario`
-//! appends them).
-//!
-//! Memory stays bounded: at most `max_queued_chunks` chunk descriptors
-//! wait in the work queue and at most `workers + max_queued_chunks`
-//! generated chunks wait in the reorder window, so peak residency is a
-//! fixed number of chunks regardless of fleet size.
+//! assignment is drive-local, and the replacements are numbered in victim
+//! order past the densest original id once the population is merged —
+//! matching the whole-fleet [`crate::gen::scenario::apply_scenario`] bit
+//! for bit (replacement batches trail the original population, exactly
+//! where `apply_scenario` appends them).
 
 use crate::config::FleetConfig;
 use crate::error::DatasetError;
@@ -42,7 +34,6 @@ use crate::gen::{plan_drive, simulate_drive};
 use crate::ingest::{DriveBatch, SkipCounts, ENV_WORKERS};
 use crate::model::DriveModel;
 use crate::records::{DriveId, DriveRecord};
-use sync::queue::{BoundedQueue, ReorderBuffer};
 
 /// Environment knob: drives per generation chunk (see
 /// [`GenConfig::from_env`]).
@@ -187,13 +178,6 @@ fn generate_range_clamped(config: &FleetConfig, start: u32, end: u32) -> Vec<Dri
     drives
 }
 
-/// One worker's output for one chunk: the (possibly scenario-perturbed)
-/// records plus the churn tails awaiting merger-assigned ids.
-struct Produced {
-    drives: Vec<DriveRecord>,
-    pending: Vec<PendingReplacement>,
-}
-
 /// Deliver one batch to the consumer, updating stats and the live
 /// counters. `first_line` continues the CSV-equivalent numbering (header
 /// is line 1) so generated batches are indistinguishable from ingested
@@ -201,7 +185,6 @@ struct Produced {
 fn emit_batch<E, F>(
     consume: &mut F,
     stats: &mut GenStats,
-    shard_index: &mut usize,
     drives: Vec<DriveRecord>,
 ) -> Result<(), E>
 where
@@ -210,12 +193,11 @@ where
     let bytes: u64 = drives.iter().map(record_value_bytes).sum();
     let rows: u64 = drives.iter().map(|d| u64::from(d.n_days())).sum();
     let batch = DriveBatch {
-        shard_index: *shard_index,
+        shard_index: stats.chunks as usize,
         first_line: 2 + stats.rows as usize,
         drives,
         skipped: SkipCounts::default(),
     };
-    *shard_index += 1;
     stats.chunks += 1;
     stats.drives += batch.drives.len() as u64;
     stats.rows += rows;
@@ -257,10 +239,8 @@ where
         scenario::validate(s).map_err(E::from)?;
     }
     let workers = gen.workers.max(1);
-    let queue_slots = gen.max_queued_chunks.max(1);
-    let chunk_drives = gen.chunk_drives.max(1) as u32;
+    let chunk_drives = gen.chunk_drives.max(1);
     let total = config.total_drives();
-    let n_chunks = total.div_ceil(chunk_drives) as usize;
     let span = telemetry::span!(
         "gen_stream",
         workers = workers,
@@ -268,118 +248,58 @@ where
     );
     let span_id = span.id();
 
-    let scenario = gen.scenario.as_ref();
-    // The depth observer runs outside the queue lock (see the ingest twin).
     fn gen_queue_depth(depth: usize) {
         telemetry::gauge_set("gen.queue_depth", depth as f64);
     }
-    let work: BoundedQueue<(usize, u32, u32)> =
-        BoundedQueue::observed(queue_slots, gen_queue_depth);
-    let done: ReorderBuffer<Produced> = ReorderBuffer::new(workers + queue_slots);
-    // Unlike ingest, the chunk count is known before the first batch.
-    done.set_total(n_chunks);
-
-    let (stats, outcome) = sync::thread::scope(|scope| {
-        let producer = scope.spawn(|| {
-            for index in 0..n_chunks {
-                let start = index as u32 * chunk_drives;
-                let len = chunk_drives.min(total - start);
-                if !work.push((index, start, len)) {
-                    break; // aborted by the merger
+    let mut stats = GenStats::default();
+    let mut pending_all: Vec<PendingReplacement> = Vec::new();
+    let run = sync::pipeline::run(
+        workers,
+        gen.max_queued_chunks,
+        gen_queue_depth,
+        |push| {
+            for start in (0..total).step_by(chunk_drives) {
+                if !push((start, chunk_drives.min((total - start) as usize) as u32)) {
+                    break; // aborted by the merge step
                 }
             }
-            work.close();
-        });
-
-        for _ in 0..workers {
-            let work = &work;
-            let done = &done;
-            scope.spawn(move || {
-                while let Some((index, start, len)) = work.pop() {
-                    let chunk_span = telemetry::span_child_of(span_id, "gen_chunk");
-                    chunk_span.record("chunk", index);
-                    chunk_span.record("drives", len);
-                    let raw = generate_range_clamped(config, start, start + len);
-                    let produced = match scenario {
-                        None => Produced {
-                            drives: raw,
-                            pending: Vec::new(),
-                        },
-                        Some(s) => {
-                            let mut drives = Vec::with_capacity(raw.len());
-                            let mut pending = Vec::new();
-                            for record in &raw {
-                                let (out, replacement) = apply_scenario_to_drive(record, s);
-                                drives.push(out);
-                                pending.extend(replacement);
-                            }
-                            Produced { drives, pending }
-                        }
-                    };
-                    drop(chunk_span);
-                    let filed = done
-                        .insert(index, produced)
-                        // lint:allow(panic-free) chunk indices are handed out
-                        // by the producer exactly once through the FIFO
-                        // queue; a duplicate filing is a bug
-                        .expect("chunk indices from the producer are unique");
-                    if !filed {
-                        break; // aborted by the merger
-                    }
-                }
-            });
-        }
-
-        let mut stats = GenStats::default();
-        let mut shard_index = 0usize;
-        let mut pending_all: Vec<PendingReplacement> = Vec::new();
-        let mut merge_outcome: Result<(), E> = Ok(());
-        while let Some(produced) = done.take_next() {
+        },
+        |index, (start, len): (u32, u32)| {
+            let chunk_span = telemetry::span_child_of(span_id, "gen_chunk");
+            chunk_span.record("chunk", index);
+            chunk_span.record("drives", len);
+            let raw = generate_range_clamped(config, start, start + len);
+            match &gen.scenario {
+                None => (raw, Vec::new()),
+                Some(s) => raw.iter().map(|d| apply_scenario_to_drive(d, s)).unzip(),
+            }
+        },
+        |(drives, pending): (Vec<DriveRecord>, Vec<Option<PendingReplacement>>)| {
             // Churn tails accumulate in victim (= drive-id) order; only
             // their count rides along until the population is complete.
-            pending_all.extend(produced.pending);
-            if let Err(e) = emit_batch(&mut consume, &mut stats, &mut shard_index, produced.drives)
-            {
-                merge_outcome = Err(e);
-                break;
+            pending_all.extend(pending.into_iter().flatten());
+            emit_batch(&mut consume, &mut stats, drives)
+        },
+    );
+    let outcome = run.merged.and_then(|()| {
+        // Replacement ids continue past the densest original id (ids are
+        // dense, so that is `total`), in victim order — exactly where and
+        // how `apply_scenario` numbers and appends them.
+        stats.replacements = pending_all.len() as u64;
+        let mut numbered = pending_all.into_iter().zip(total..);
+        loop {
+            let tail: Vec<DriveRecord> = numbered
+                .by_ref()
+                .take(chunk_drives)
+                .map(|(replacement, id)| replacement.into_record(DriveId(id)))
+                .collect();
+            if tail.is_empty() {
+                return Ok(());
             }
+            emit_batch(&mut consume, &mut stats, tail)?;
         }
-        if merge_outcome.is_ok() {
-            // Replacement ids continue past the densest original id (ids
-            // are dense, so that is `total`), in victim order — exactly
-            // where and how `apply_scenario` numbers and appends them.
-            stats.replacements = pending_all.len() as u64;
-            let mut next_id = total;
-            let mut tail: Vec<DriveRecord> = Vec::new();
-            for replacement in pending_all {
-                tail.push(replacement.into_record(DriveId(next_id)));
-                next_id += 1;
-                if tail.len() >= chunk_drives as usize {
-                    let full = std::mem::take(&mut tail);
-                    if let Err(e) = emit_batch(&mut consume, &mut stats, &mut shard_index, full) {
-                        merge_outcome = Err(e);
-                        break;
-                    }
-                }
-            }
-            if merge_outcome.is_ok() && !tail.is_empty() {
-                merge_outcome = emit_batch(&mut consume, &mut stats, &mut shard_index, tail);
-            }
-        }
-        if merge_outcome.is_err() {
-            work.abort();
-            done.abort();
-        }
-
-        if let Err(payload) = producer.join() {
-            // lint:allow(panic-free) a producer panic is already a bug;
-            // re-raising keeps the scoped-thread invariant visible instead
-            // of reporting a bogus clean run
-            std::panic::resume_unwind(payload);
-        }
-        stats.queue_full_stalls = work.stalls();
-        (stats, merge_outcome)
     });
+    stats.queue_full_stalls = run.stalls;
 
     telemetry::counter_add("gen.queue_full_stalls", stats.queue_full_stalls);
     telemetry::counter_add("gen.replacements", stats.replacements);

@@ -3,20 +3,15 @@
 //! The single-threaded [`crate::csv::import_smart_csv`] reads the whole
 //! file line by line on one core. This module splits the same byte stream
 //! into *drive-aligned shards* — a drive's contiguous day-rows never
-//! straddle a shard boundary — and parses them on scoped worker threads:
+//! straddle a shard boundary — and runs them through `sync::pipeline`, the
+//! ordered worker pipeline whose module docs describe the threads, the
+//! bounded queue and reorder window, and the abort paths. Here the
+//! producer is the shard splitter, each worker parses a shard and joins
+//! its trouble tickets, and the merge step enforces the malformed-row cap.
 //!
-//! ```text
-//! reader ──shards──▶ BoundedQueue ──▶ workers ──▶ ReorderBuffer ──▶ merger
-//!   (1 thread)        (backpressure)   (N threads)  (file order)   (caller)
-//! ```
-//!
-//! Memory stays bounded: at most `max_queued_shards` raw shards wait in the
-//! work queue (the reader stalls when it is full) and at most
-//! `workers + max_queued_shards` parsed shards wait in the reorder window.
-//!
-//! Determinism: shards are merged strictly in file order, so the resulting
-//! drive sequence — and the first reported parse error — is bit-identical
-//! to the single-threaded reader at any worker count or shard size.
+//! Shards are merged strictly in file order, so the resulting drive
+//! sequence — and the first reported parse error — is bit-identical to the
+//! single-threaded reader at any worker count or shard size.
 //! [`crate::csv::import_smart_csv`] remains the reference implementation;
 //! the integration suite holds the two paths equal.
 
@@ -31,7 +26,6 @@ use crate::records::DriveRecord;
 use crate::tickets::{sort_tickets_by_drive, TroubleTicket};
 use shard::{Shard, ShardSplitter};
 use std::io::BufRead;
-use sync::queue::{BoundedQueue, ReorderBuffer};
 
 /// Environment knob: rows per shard (see [`IngestConfig::from_env`]).
 pub const ENV_SHARD_ROWS: &str = "WEFR_INGEST_SHARD_ROWS";
@@ -207,7 +201,6 @@ where
     F: FnMut(DriveBatch) -> Result<(), E>,
 {
     let workers = config.workers.max(1);
-    let queue_slots = config.max_queued_shards.max(1);
     let span = telemetry::span!("ingest", workers = workers, shard_rows = config.shard_rows);
     let span_id = span.id();
 
@@ -224,148 +217,90 @@ where
     check_smart_header(trimmed)?;
 
     let by_id = sort_tickets_by_drive(tickets);
-    let tolerance = config.tolerance;
-    // The depth observer runs outside the queue lock; the watchdog samples
-    // this gauge into a histogram, turning backpressure into a distribution.
+    // The watchdog samples this gauge into a histogram, turning
+    // backpressure into a distribution.
     fn ingest_queue_depth(depth: usize) {
         telemetry::gauge_set("ingest.queue_depth", depth as f64);
     }
-    let work: BoundedQueue<Shard> = BoundedQueue::observed(queue_slots, ingest_queue_depth);
-    // Each parsed shard travels with the absolute line numbers of its
-    // malformed skips, so the merger can enforce the cap in file order.
-    type ParsedBatch = Result<(DriveBatch, Vec<usize>), DatasetError>;
-    let done: ReorderBuffer<ParsedBatch> = ReorderBuffer::new(workers + queue_slots);
-
-    let (stats, outcome) = sync::thread::scope(|scope| {
-        let reader = scope.spawn(|| {
+    // The producer thread fills `rows`/`shards`, the merge step `drives`/
+    // `skipped`: each closure borrows only its own fields.
+    let mut stats = IngestStats::default();
+    let mut malformed_seen = 0u64;
+    let run = sync::pipeline::run(
+        workers,
+        config.max_queued_shards,
+        ingest_queue_depth,
+        |push| {
             let read_span = telemetry::span_child_of(span_id, "ingest_read");
             let mut splitter = ShardSplitter::new(input, config.shard_rows, 2);
-            let mut rows = 0u64;
-            let mut shards = 0u64;
             let outcome = loop {
                 match splitter.next_shard() {
                     Ok(Some(shard)) => {
-                        rows += shard.rows as u64;
-                        shards += 1;
+                        stats.rows += shard.rows as u64;
+                        stats.shards += 1;
                         // Counted per shard, not once at the end, so a live
                         // /metrics scrape sees ingest progress mid-run.
                         telemetry::counter_add("ingest.rows", shard.rows as u64);
                         telemetry::counter_add("ingest.shards", 1);
-                        if !work.push(shard) {
-                            break Ok(()); // aborted by the merger
+                        if !push(shard) {
+                            break Ok(()); // aborted by the merge step
                         }
                     }
                     Ok(None) => break Ok(()),
                     Err(e) => break Err(DatasetError::Io(e)),
                 }
             };
-            work.close();
-            done.set_total(shards as usize);
-            read_span.record("rows", rows);
-            read_span.record("shards", shards);
-            (rows, shards, outcome)
-        });
-
-        for _ in 0..workers {
-            let by_id = &by_id;
-            let work = &work;
-            let done = &done;
-            scope.spawn(move || {
-                while let Some(shard) = work.pop() {
-                    let parse_span = telemetry::span_child_of(span_id, "ingest_parse");
-                    parse_span.record("shard", shard.index);
-                    parse_span.record("rows", shard.rows);
-                    let batch = parse::parse_shard(&shard.text, shard.first_line, tolerance).map(
-                        |outcome| {
-                            let batch = DriveBatch {
-                                shard_index: shard.index,
-                                first_line: shard.first_line,
-                                drives: outcome
-                                    .drives
-                                    .into_iter()
-                                    .map(|r| r.into_record(by_id))
-                                    .collect(),
-                                skipped: outcome.skipped,
-                            };
-                            (batch, outcome.malformed_lines)
-                        },
-                    );
-                    drop(parse_span);
-                    let filed = done
-                        .insert(shard.index, batch)
-                        // lint:allow(panic-free) the splitter hands out
-                        // strictly increasing shard indices and the FIFO
-                        // queue delivers each exactly once; a duplicate is a bug
-                        .expect("shard indices from the splitter are unique");
-                    if !filed {
-                        break; // aborted by the merger
-                    }
+            read_span.record("rows", stats.rows);
+            read_span.record("shards", stats.shards);
+            outcome
+        },
+        |index, shard: Shard| {
+            let parse_span = telemetry::span_child_of(span_id, "ingest_parse");
+            parse_span.record("shard", index);
+            parse_span.record("rows", shard.rows);
+            // Each batch travels with the absolute line numbers of its
+            // malformed skips, so the merge step can enforce the cap in
+            // file order.
+            parse::parse_shard(&shard.text, shard.first_line, config.tolerance).map(|outcome| {
+                let batch = DriveBatch {
+                    shard_index: index,
+                    first_line: shard.first_line,
+                    drives: outcome
+                        .drives
+                        .into_iter()
+                        .map(|r| r.into_record(&by_id))
+                        .collect(),
+                    skipped: outcome.skipped,
+                };
+                (batch, outcome.malformed_lines)
+            })
+        },
+        |parsed| {
+            let (batch, malformed_lines) = parsed?;
+            // Enforce the malformed-row cap in file order, so the breaching
+            // line is the same at any worker count or shard size.
+            for &line in &malformed_lines {
+                malformed_seen += 1;
+                if malformed_seen > MAX_MALFORMED_ROWS {
+                    return Err(E::from(DatasetError::ParseCsv {
+                        line,
+                        message: format!(
+                            "tolerant ingest gave up: more than {MAX_MALFORMED_ROWS} \
+                             malformed rows"
+                        ),
+                    }));
                 }
-            });
-        }
-
-        let mut drives = 0u64;
-        let mut skipped = SkipCounts::default();
-        let mut malformed_seen = 0u64;
-        let merge_outcome: Result<(), E> = loop {
-            match done.take_next() {
-                Some(Ok((batch, malformed_lines))) => {
-                    // Enforce the malformed-row cap in file order, so the
-                    // breaching line is the same at any worker count or
-                    // shard size.
-                    let mut breach: Option<usize> = None;
-                    for &line in &malformed_lines {
-                        malformed_seen += 1;
-                        if malformed_seen > MAX_MALFORMED_ROWS {
-                            breach = Some(line);
-                            break;
-                        }
-                    }
-                    if let Some(line) = breach {
-                        break Err(E::from(DatasetError::ParseCsv {
-                            line,
-                            message: format!(
-                                "tolerant ingest gave up: more than {MAX_MALFORMED_ROWS} \
-                                 malformed rows"
-                            ),
-                        }));
-                    }
-                    skipped.merge(batch.skipped);
-                    drives += batch.drives.len() as u64;
-                    telemetry::counter_add("ingest.drives", batch.drives.len() as u64);
-                    if let Err(e) = consume(batch) {
-                        break Err(e);
-                    }
-                }
-                Some(Err(e)) => break Err(E::from(e)),
-                None => break Ok(()),
             }
-        };
-        if merge_outcome.is_err() {
-            work.abort();
-            done.abort();
-        }
+            stats.skipped.merge(batch.skipped);
+            stats.drives += batch.drives.len() as u64;
+            telemetry::counter_add("ingest.drives", batch.drives.len() as u64);
+            consume(batch)
+        },
+    );
+    stats.queue_full_stalls = run.stalls;
 
-        let (rows, shards, read_outcome) = match reader.join() {
-            Ok(result) => result,
-            // lint:allow(panic-free) a reader panic is already a bug;
-            // re-raising keeps the scoped-thread invariant visible instead
-            // of reporting a bogus clean run
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        let outcome = merge_outcome.and(read_outcome.map_err(E::from));
-        let stats = IngestStats {
-            rows,
-            shards,
-            drives,
-            queue_full_stalls: work.stalls(),
-            skipped,
-        };
-        (stats, outcome)
-    });
-
-    // rows and shards were already counted live in the reader loop; the
-    // rest is only known once the scope has drained.
+    // rows and shards were already counted live by the producer; the rest
+    // is only known once the pipeline has drained.
     telemetry::counter_add("ingest.queue_full_stalls", stats.queue_full_stalls);
     telemetry::counter_add("ingest.skipped_duplicates", stats.skipped.duplicate_rows);
     telemetry::counter_add(
@@ -377,7 +312,7 @@ where
     span.record("rows", stats.rows);
     span.record("shards", stats.shards);
     span.record("stalls", stats.queue_full_stalls);
-    outcome?;
+    run.merged.and(run.produced.map_err(E::from))?;
     Ok(stats)
 }
 
@@ -426,25 +361,25 @@ mod tests {
     use crate::model::DriveModel;
     use crate::tickets::tickets_from_summaries;
 
-    /// The depth-observer wiring end to end: a queue observed through
-    /// [`telemetry::gauge_set`] publishes its depth after every push/pop.
-    /// (The queue itself lives in `smart-sync`, which has no telemetry
-    /// dependency — the gauge glue is this crate's, so the test is too.)
+    /// The depth-observer wiring end to end: a run publishes its work
+    /// queue's depth through [`telemetry::gauge_set`] as
+    /// `ingest.queue_depth`.
     #[test]
     fn observed_queue_publishes_depth_gauge() {
         // Leave collection on afterwards: it only makes sibling tests
         // record telemetry they never read.
         telemetry::set_collect(true);
-        fn test_depth(depth: usize) {
-            telemetry::gauge_set("test.queue_depth.unit", depth as f64);
-        }
-        let q: BoundedQueue<u32> = BoundedQueue::observed(4, test_depth);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert_eq!(telemetry::gauge_value("test.queue_depth.unit"), Some(2.0));
-        q.close();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(telemetry::gauge_value("test.queue_depth.unit"), Some(1.0));
+        let (text, tickets, _config) = fixture();
+        stream_drive_batches(
+            text.as_bytes(),
+            &tickets,
+            &IngestConfig::default(),
+            |_batch: DriveBatch| Ok::<(), DatasetError>(()),
+        )
+        .unwrap();
+        let depth = telemetry::gauge_value("ingest.queue_depth").expect("gauge published");
+        let slots = IngestConfig::default().max_queued_shards as f64;
+        assert!((0.0..=slots).contains(&depth), "{depth}");
     }
 
     fn fixture() -> (String, Vec<TroubleTicket>, FleetConfig) {

@@ -16,8 +16,6 @@ use std::io::BufRead;
 /// One contiguous slice of the input file, ready for independent parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct Shard {
-    /// Position of this shard in file order; the merge key.
-    pub index: usize,
     /// 1-based line number (in the whole file) of the first line of `text`.
     pub first_line: usize,
     /// The raw lines, newlines included, exactly as read.
@@ -40,7 +38,6 @@ pub(super) struct ShardSplitter<R> {
     /// 1-based line number of the next line to hand out (the carry line if
     /// one is stashed, otherwise the next line read from `input`).
     next_line: usize,
-    next_index: usize,
     /// A line read past the current shard's cut point; it opens the next
     /// shard. Its id is cached so the run-tracking stays consistent.
     carry: Option<(String, Option<u32>)>,
@@ -57,7 +54,6 @@ impl<R: BufRead> ShardSplitter<R> {
             input,
             shard_rows: shard_rows.max(1),
             next_line: first_line,
-            next_index: 0,
             carry: None,
             capacity_hint: 0,
             done: false,
@@ -114,10 +110,7 @@ impl<R: BufRead> ShardSplitter<R> {
         if rows == 0 {
             return Ok(None);
         }
-        let index = self.next_index;
-        self.next_index += 1;
         Ok(Some(Shard {
-            index,
             first_line,
             text,
             rows,
@@ -168,9 +161,6 @@ mod tests {
             assert_eq!(joined, text, "shard_rows={shard_rows}");
             let total: usize = shards.iter().map(|s| s.rows).sum();
             assert_eq!(total, 5);
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.index, i);
-            }
         }
     }
 

@@ -1,11 +1,11 @@
 #![forbid(unsafe_code)]
-//! CI gate for the split-strategy benchmark: parse a `BENCH_pr3.json`
-//! report (written by `bench_split_strategy` or any binary emitting the
-//! same `rf_train/*` rows) and require that histogram-engine training was
-//! not slower than exact-engine training.
+//! CI gate for the split-strategy timings: parse the row array
+//! `exp4_runtime` writes and require that its `rf_train/histogram` row
+//! (histogram-engine training) was not slower than its `rf_train/exact`
+//! row (exact-engine training).
 //!
 //! ```text
-//! check_split_bench <BENCH_pr3.json>
+//! check_split_bench <exp4_runtime.json>
 //! ```
 //!
 //! Exits non-zero (with a reason on stderr) when the file is missing,
@@ -29,9 +29,8 @@ fn run(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let value = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     let rows = value
-        .field("rows")
-        .and_then(json::Value::as_array)
-        .ok_or_else(|| format!("{path} has no \"rows\" array"))?;
+        .as_array()
+        .ok_or_else(|| format!("{path} is not a row array"))?;
     let exact = mean_of(rows, "rf_train/exact", path)?;
     let hist = mean_of(rows, "rf_train/histogram", path)?;
     if hist > exact {
@@ -50,7 +49,7 @@ fn run(path: &str) -> Result<String, String> {
 
 fn main() -> ExitCode {
     let Some(path) = std::env::args().nth(1) else {
-        eprintln!("usage: check_split_bench <BENCH_pr3.json>");
+        eprintln!("usage: check_split_bench <exp4_runtime.json>");
         return ExitCode::FAILURE;
     };
     match run(&path) {

@@ -1,10 +1,11 @@
-//! Thread-count determinism: the parallel ranker fan-out and the full WEFR
-//! selection are bit-identical no matter how many workers share the load.
+//! Thread-count determinism: the parallel ranker fan-out matches running
+//! the rankers one after another, and the full WEFR selection and fleet
+//! generation are bit-identical across runs.
 
 use smart_dataset::{DriveModel, Fleet, FleetConfig};
 use smart_pipeline::{base_matrix, collect_samples, SamplingConfig};
 use smart_stats::FeatureMatrix;
-use wefr_core::parallel::{run_rankers, run_rankers_with_threads};
+use wefr_core::parallel::run_rankers;
 use wefr_core::rankers::default_rankers;
 use wefr_core::{SelectionInput, Wefr, WefrConfig};
 
@@ -26,15 +27,17 @@ fn training_matrix() -> (FeatureMatrix, Vec<bool>) {
 #[test]
 fn rankings_are_identical_across_worker_counts() {
     let (matrix, labels) = training_matrix();
-    let baseline =
-        run_rankers_with_threads(&default_rankers(3), &matrix, &labels, 1).expect("rankings");
-    for workers in [2, 3, 5, 16] {
-        let other = run_rankers_with_threads(&default_rankers(3), &matrix, &labels, workers)
-            .expect("rankings");
-        assert_eq!(baseline, other, "worker count {workers} changed rankings");
+    let rankers = default_rankers(3);
+    let parallel = run_rankers(&rankers, &matrix, &labels).expect("rankings");
+    assert_eq!(parallel.len(), rankers.len());
+    for (ranker, (name, ranking)) in rankers.iter().zip(&parallel) {
+        let sequential = ranker.rank(&matrix, &labels).expect("ranking");
+        assert_eq!(ranker.name(), name);
+        assert_eq!(
+            &sequential, ranking,
+            "{name}: parallel run changed the ranking"
+        );
     }
-    let auto = run_rankers(&default_rankers(3), &matrix, &labels).expect("rankings");
-    assert_eq!(baseline, auto);
 }
 
 #[test]

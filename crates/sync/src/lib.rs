@@ -1,12 +1,12 @@
 #![forbid(unsafe_code)]
 //! Concurrency shim for the WEFR workspace (DESIGN.md §13).
 //!
-//! Every hand-rolled concurrent structure in the workspace — the ingest
-//! pipeline's [`queue::BoundedQueue`] / [`queue::ReorderBuffer`], the
-//! telemetry watchdog's condvar handshake, the TCP listener's shutdown
-//! wake — builds on the primitives exported here instead of `std::sync`
-//! directly (the `sync-hygiene` lint rule enforces this). The payoff is a
-//! single compile-time switch:
+//! Every hand-rolled concurrent structure in the workspace — the ordered
+//! worker [`pipeline`] both streaming sources run on, the telemetry
+//! watchdog's condvar handshake, the TCP listener's shutdown wake — builds
+//! on the primitives exported here instead of `std::sync` directly (the
+//! `sync-hygiene` lint rule enforces this). The payoff is a single
+//! compile-time switch:
 //!
 //! * **Default build** — everything in this crate is a transparent
 //!   re-export of (or zero-cost delegation to) `std::sync`. No wrappers at
@@ -31,7 +31,8 @@
 pub mod fixtures;
 #[cfg(feature = "model")]
 pub mod model;
-pub mod queue;
+pub mod pipeline;
+mod queue;
 #[cfg(feature = "model")]
 pub mod scenarios;
 pub mod shutdown;

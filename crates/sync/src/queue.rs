@@ -1,6 +1,6 @@
-//! Bounded hand-off primitives for the sharded reader/worker/merger
-//! pipeline: a FIFO work queue with backpressure and a windowed reorder
-//! buffer that restores file order on the consume side.
+//! Bounded hand-off primitives for [`crate::pipeline`]: a FIFO work queue
+//! with backpressure and a windowed reorder buffer that restores input
+//! order on the merge side.
 //!
 //! Both are built on this crate's [`Mutex`] + [`Condvar`] only, so the
 //! `model` feature explores their interleavings directly — the FIFO-prefix
@@ -30,18 +30,18 @@ pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     cond: Condvar,
     capacity: usize,
-    /// Depth observer called (outside the lock) after every push/pop,
-    /// `None` for unobserved queues. The ingest pipeline points this at a
-    /// telemetry gauge; keeping it a plain `fn` keeps this crate free of a
-    /// telemetry dependency, which is what lets the model checker own the
-    /// queues.
-    observer: Option<fn(usize)>,
+    /// Called with the depth after every push/pop, outside the lock: the
+    /// pipeline points it at a telemetry gauge, whose collector takes its
+    /// own lock, which must not nest under ours. A plain `fn` keeps this
+    /// crate free of a telemetry dependency, which is what lets the model
+    /// checker own the queues.
+    observer: fn(usize),
 }
 
 impl<T> BoundedQueue<T> {
-    /// An unobserved queue holding at most `capacity` items (clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
+    /// A queue holding at most `capacity` items (clamped to at least 1)
+    /// that reports its depth to `observer`.
+    pub fn new(capacity: usize, observer: fn(usize)) -> BoundedQueue<T> {
         BoundedQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -51,23 +51,7 @@ impl<T> BoundedQueue<T> {
             }),
             cond: Condvar::new(),
             capacity: capacity.max(1),
-            observer: None,
-        }
-    }
-
-    /// A queue that reports its depth to `observer` after every push/pop.
-    pub fn observed(capacity: usize, observer: fn(usize)) -> BoundedQueue<T> {
-        BoundedQueue {
-            observer: Some(observer),
-            ..BoundedQueue::new(capacity)
-        }
-    }
-
-    /// Report `depth`, outside any lock — observers may take their own
-    /// locks (the telemetry collector does) and must not nest under ours.
-    fn observe_depth(&self, depth: usize) {
-        if let Some(observer) = self.observer {
-            observer(depth);
+            observer,
         }
     }
 
@@ -90,7 +74,7 @@ impl<T> BoundedQueue<T> {
         let depth = s.items.len();
         self.cond.notify_all();
         drop(s);
-        self.observe_depth(depth);
+        (self.observer)(depth);
         true
     }
 
@@ -106,7 +90,7 @@ impl<T> BoundedQueue<T> {
                 let depth = s.items.len();
                 self.cond.notify_all();
                 drop(s);
-                self.observe_depth(depth);
+                (self.observer)(depth);
                 return Some(item);
             }
             if s.closed {
@@ -144,14 +128,6 @@ impl<T> BoundedQueue<T> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DuplicateIndex(pub usize);
 
-impl std::fmt::Display for DuplicateIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "duplicate reorder index {}", self.0)
-    }
-}
-
-impl std::error::Error for DuplicateIndex {}
-
 struct ReorderState<T> {
     ready: BTreeMap<usize, T>,
     next: usize,
@@ -169,13 +145,8 @@ struct ReorderState<T> {
 /// ahead of the consumer blocks — this bounds the number of parsed shards
 /// held in memory.
 ///
-/// Deadlock-freedom: work is popped from a FIFO queue, so whenever index
-/// `i` is outstanding every smaller outstanding index is held by some other
-/// worker. The smallest outstanding index is always inside the window
-/// (`capacity >= 1`), so its holder never blocks, the consumer keeps
-/// advancing, and every blocked producer is eventually admitted. (The
-/// `model` feature checks this claim on real schedules instead of taking
-/// the comment's word for it.)
+/// Deadlock-free as long as work is dispatched in index order (see
+/// [`crate::pipeline`]); the `model` feature checks that on real schedules.
 pub struct ReorderBuffer<T> {
     state: Mutex<ReorderState<T>>,
     cond: Condvar,
@@ -276,7 +247,7 @@ mod tests {
 
     #[test]
     fn queue_is_fifo_and_drains_after_close() {
-        let q = BoundedQueue::new(2);
+        let q = BoundedQueue::new(2, |_| {});
         assert!(q.push(1));
         assert!(q.push(2));
         q.close();
@@ -287,7 +258,7 @@ mod tests {
 
     #[test]
     fn queue_backpressure_counts_stalls() {
-        let q = BoundedQueue::new(1);
+        let q = BoundedQueue::new(1, |_| {});
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for i in 0..50 {
@@ -310,7 +281,7 @@ mod tests {
         fn record(depth: usize) {
             LAST_DEPTH.store(depth, Ordering::SeqCst);
         }
-        let q: BoundedQueue<u32> = BoundedQueue::observed(4, record);
+        let q: BoundedQueue<u32> = BoundedQueue::new(4, record);
         assert!(q.push(1));
         assert!(q.push(2));
         assert_eq!(LAST_DEPTH.load(Ordering::SeqCst), 2);
@@ -321,7 +292,7 @@ mod tests {
 
     #[test]
     fn abort_unblocks_producer() {
-        let q = BoundedQueue::new(1);
+        let q = BoundedQueue::new(1, |_| {});
         assert!(q.push(0));
         std::thread::scope(|scope| {
             let h = scope.spawn(|| q.push(1));
@@ -490,7 +461,7 @@ mod tests {
             let capacity = g.usize_in(1, 4);
             let n = g.usize_in(1, capacity);
             let bomb_at = g.usize_in(0, n - 1);
-            let q = BoundedQueue::new(capacity);
+            let q = BoundedQueue::new(capacity, |_| {});
             for i in 0..n {
                 assert!(q.push(Bomb {
                     armed: i == bomb_at
@@ -532,85 +503,6 @@ mod tests {
             assert!(aborting.is_err(), "armed bomb must panic during abort");
             assert_eq!(r.insert(n, Bomb { armed: false }), Ok(false));
             assert!(r.take_next().is_none());
-        });
-    }
-
-    /// Drive the full reader → worker-pool → merger shape with workers that
-    /// *panic* on randomly chosen shards. Each worker converts its panic to
-    /// an indexed error (as the real pipeline converts parse failures); the
-    /// merger consumes in index order, so whatever the thread interleaving,
-    /// the surfaced error must be the one with the smallest shard index and
-    /// every earlier shard must have been merged first. The abort must then
-    /// unwind the whole pipeline without deadlock.
-    #[test]
-    fn prop_worker_panics_abort_cleanly_with_first_error_wins() {
-        rng::prop_check!(|g| {
-            let total = g.usize_in(2, 24);
-            let workers = g.usize_in(1, 4);
-            let capacity = g.usize_in(1, 4);
-            let n_fail = g.usize_in(1, total.min(3));
-            let mut fails = vec![false; total];
-            for &i in g.permutation(total).iter().take(n_fail) {
-                fails[i] = true;
-            }
-            let first_error = fails.iter().position(|&f| f).expect("n_fail >= 1");
-
-            let work: BoundedQueue<usize> = BoundedQueue::new(capacity);
-            let done: ReorderBuffer<Result<usize, usize>> = ReorderBuffer::new(capacity);
-            done.set_total(total);
-            let fails = &fails;
-            let (merged, surfaced) = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for i in 0..total {
-                        if !work.push(i) {
-                            return; // abort reached the reader
-                        }
-                    }
-                    work.close();
-                });
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        while let Some(i) = work.pop() {
-                            let parsed = std::panic::catch_unwind(|| {
-                                if fails[i] {
-                                    panic!("injected worker panic on shard {i}");
-                                }
-                                i
-                            });
-                            let filed = done
-                                .insert(i, parsed.map_err(|_| i))
-                                .expect("shard indices from the FIFO queue are unique");
-                            if !filed {
-                                return; // abort reached this worker
-                            }
-                        }
-                    });
-                }
-                // Merger on the test thread: strict index order, abort on
-                // the first error. The scope exiting at all proves the abort
-                // unblocked every reader/worker (else join would hang).
-                let mut merged = 0usize;
-                let mut surfaced = None;
-                while let Some(item) = done.take_next() {
-                    match item {
-                        Ok(i) => {
-                            assert_eq!(i, merged, "merger must see shards in order");
-                            merged += 1;
-                        }
-                        Err(i) => {
-                            surfaced = Some(i);
-                            work.abort();
-                            done.abort();
-                            break;
-                        }
-                    }
-                }
-                (merged, surfaced)
-            });
-            assert_eq!(surfaced, Some(first_error), "lowest shard index wins");
-            assert_eq!(merged, first_error, "every shard before the error merges");
-            assert!(!work.push(total), "work queue refuses after abort");
-            assert!(done.take_next().is_none(), "reorder refuses after abort");
         });
     }
 }

@@ -1,10 +1,11 @@
 //! Model-checked scenarios pinning the guarantees the production
 //! primitives claim (only built with the `model` feature).
 //!
-//! Each scenario is a closure exercising the *real* ported code —
-//! [`crate::queue::BoundedQueue`], [`crate::queue::ReorderBuffer`],
-//! [`crate::shutdown::StopFlag`], and the TCP listener's `StopFlag`
-//! shutdown-wake shape — under [`crate::model::explore`]. The suite runs
+//! Each scenario is a closure exercising the *real* production code —
+//! the queue primitives `BoundedQueue` and `ReorderBuffer`, the ordered
+//! [`crate::pipeline::run`] built on them, [`crate::shutdown::StopFlag`],
+//! and the TCP listener's `StopFlag` shutdown-wake shape — under
+//! [`crate::model::explore`]. The suite runs
 //! from `tests/model_suite.rs` and from the `check_model_coverage` bin,
 //! which asserts the committed schedule floors below and determinism
 //! across runs.
@@ -12,6 +13,7 @@
 use std::time::Duration;
 
 use crate::model::{check, Config, Report};
+use crate::pipeline;
 use crate::queue::{BoundedQueue, DuplicateIndex, ReorderBuffer};
 use crate::shutdown::StopFlag;
 use crate::thread;
@@ -84,7 +86,7 @@ pub fn all() -> Vec<Scenario> {
 /// exactly the pushed sequence, in order, then end-of-stream after close.
 fn queue_fifo_prefix_delivery(config: &Config) -> Report {
     check("queue_fifo_prefix_delivery", config, || {
-        let q: BoundedQueue<usize> = BoundedQueue::new(2);
+        let q: BoundedQueue<usize> = BoundedQueue::new(2, |_| {});
         thread::scope(|scope| {
             scope.spawn(|| {
                 for i in 0..3 {
@@ -106,7 +108,7 @@ fn queue_fifo_prefix_delivery(config: &Config) -> Report {
 /// completing at all proves nobody stayed parked.
 fn queue_abort_wakes_all_producers(config: &Config) -> Report {
     check("queue_abort_wakes_all_producers", config, || {
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
+        let q: BoundedQueue<u8> = BoundedQueue::new(1, |_| {});
         assert!(q.push(0), "filling the queue cannot fail before abort");
         thread::scope(|scope| {
             let a = scope.spawn(|| q.push(1));
@@ -171,48 +173,27 @@ fn reorder_duplicate_detected_under_race(config: &Config) -> Report {
     })
 }
 
-/// The full pipeline shape in miniature: a worker error reaches the merger
-/// first (index order), the merger aborts both queues, and every thread —
-/// reader, worker, merger — unwinds without deadlock.
+/// The ordered pipeline itself ([`crate::pipeline::run`], which both
+/// streaming sources run on) at one worker and one queue slot: item 0
+/// fails, the merge step surfaces it before any later item (input order)
+/// and aborts, and every thread — producer, worker, caller — unwinds
+/// without deadlock. Four items overflow the two-slot reorder window once
+/// the merge step stops, so a run that skipped the abort would leave the
+/// worker blocked and fail here as a deadlock.
 fn pipeline_first_error_aborts_everyone(config: &Config) -> Report {
     check("pipeline_first_error_aborts_everyone", config, || {
-        let work: BoundedQueue<usize> = BoundedQueue::new(1);
-        let done: ReorderBuffer<Result<usize, usize>> = ReorderBuffer::new(1);
-        done.set_total(2);
-        thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 0..2 {
-                    if !work.push(i) {
-                        return; // abort reached the reader
-                    }
-                }
-                work.close();
-            });
-            scope.spawn(|| {
-                while let Some(i) = work.pop() {
-                    // Shard 0 "fails to parse": the merger must surface it
-                    // and tear the pipeline down.
-                    let parsed = if i == 0 { Err(i) } else { Ok(i) };
-                    let filed = done.insert(i, parsed).expect("indices unique");
-                    if !filed {
-                        return; // abort reached the worker
-                    }
-                }
-            });
-            let mut surfaced = None;
-            while let Some(item) = done.take_next() {
-                match item {
-                    Ok(i) => panic!("shard {i} merged before the smaller failing index"),
-                    Err(i) => {
-                        surfaced = Some(i);
-                        work.abort();
-                        done.abort();
-                        break;
-                    }
-                }
-            }
-            assert_eq!(surfaced, Some(0), "lowest failing index wins");
-        });
+        let finished = pipeline::run(
+            1,
+            1,
+            |_depth| {},
+            |push| (0..4).take_while(|&i| push(i)).count(),
+            |_index, i: usize| if i == 0 { Err(i) } else { Ok(i) },
+            |item| match item {
+                Ok(i) => panic!("item {i} merged before the smaller failing index"),
+                Err(i) => Err(i),
+            },
+        );
+        assert_eq!(finished.merged, Err(0), "lowest failing index wins");
     })
 }
 
@@ -246,7 +227,7 @@ fn watchdog_shutdown_always_terminates(config: &Config) -> Report {
 /// — including the one where it is mid-accept when the flag flips.
 fn serve_shutdown_wake_terminates_listener(config: &Config) -> Report {
     check("serve_shutdown_wake_terminates_listener", config, || {
-        let conns: BoundedQueue<u8> = BoundedQueue::new(4);
+        let conns: BoundedQueue<u8> = BoundedQueue::new(4, |_| {});
         let flag = StopFlag::new();
         assert!(conns.push(1), "a client connection is already pending");
         thread::scope(|scope| {

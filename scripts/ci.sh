@@ -21,7 +21,9 @@ step "benchmark package: unit tests + smoke run of every workload"
 # perfbench/ is a Cargo workspace of its own, so the workspace test run
 # above does not reach it. Its smoke tests run each workload end to end and
 # check the output, so a change that breaks a workload fails here.
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# --locked: a workspace dependency change that would rewrite
+# perfbench/Cargo.lock fails here instead of silently editing the benchmark.
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 step "cargo doc --no-deps --offline"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
@@ -84,13 +86,14 @@ cargo run -q --release --offline -p wefr-bench --bin bench_obs_overhead -- \
 cargo run -q --release --offline -p smart-integration --bin check_obs_overhead \
   "$tmpdir/BENCH_pr7.json"
 
-step "split-strategy bench: histogram training must not be slower than exact"
-# A quick MC1-only run of the paired RF-training benchmark; the gate parses
-# its JSON report and fails if the binned engine lost to the exact engine.
-cargo run -q --release --offline -p wefr-bench --bin bench_split_strategy -- \
+step "split-strategy timing: histogram training must not be slower than exact"
+# A quick MC1-only Exp#4 runtime run, which times the same forest under the
+# exact and the histogram split engine; the gate parses its JSON rows and
+# fails if the binned engine lost to the exact engine.
+cargo run -q --release --offline -p wefr-bench --bin exp4_runtime -- \
   --quick --days 240 --model mc1 --out "$tmpdir"
 cargo run -q --release --offline -p smart-integration --bin check_split_bench \
-  "$tmpdir/BENCH_pr3.json"
+  "$tmpdir/exp4_runtime.json"
 
 step "ingest bench: sharded reader must not be slower than single-threaded"
 # A quick MC1-only run of the paired ingestion benchmark; the gate parses
