@@ -2,7 +2,9 @@
 //! Run every table and figure of the paper in sequence, sharing one fleet.
 //!
 //! This is the one-shot reproduction driver behind EXPERIMENTS.md; each
-//! artifact is also available as its own binary for focused runs.
+//! artifact is also available as its own binary for focused runs. A child
+//! that fails or cannot launch does not stop the others, but the run then
+//! exits with status 1.
 
 use std::process::Command;
 use wefr_bench::{print_header, RunOptions};
@@ -29,6 +31,7 @@ fn main() {
 
     // exp4 is last: it is timing-sensitive and benefits from a quiet machine.
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut failed = false;
     for bin in BINARIES.iter().chain(std::iter::once(&"exp4_runtime")) {
         eprintln!("\n>>> {bin}");
         let status = Command::new(
@@ -39,11 +42,15 @@ fn main() {
         .args(&args)
         .status();
         match status {
-            Ok(s) if s.success() => {}
+            Ok(s) if s.success() => continue,
             Ok(s) => eprintln!("{bin} exited with {s}"),
             Err(e) => eprintln!(
                 "failed to launch {bin}: {e} (build with `cargo build -p wefr-bench --bins`)"
             ),
         }
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! 1. **Bit-identity matrix** — at a small scale, `generate_fleet_streamed`
 //!    is compared record-for-record against `Fleet::generate` across chunk
-//!    sizes × worker counts. The rows land in the report and
-//!    `check_gen_bench` fails CI if any is false.
+//!    sizes × worker counts; the run panics on the first divergent cell,
+//!    and the cells land in the report.
 //! 2. **Paper-scale run** — the paper population mix at `--census` drives
 //!    (500 000 for the committed run, capped at 8 000 by `--quick`) is
 //!    streamed through `generated_base_matrix`, WEFR selects on the
@@ -21,6 +21,10 @@
 //! With the `obs-alloc` feature compiled in and `WEFR_OBS_ALLOC=1`, each
 //! stage row also carries the counting allocator's per-span byte delta.
 //! `--out` additionally rewrites the pinned `census_fig1.json` golden.
+//! The committed `results/BENCH_pr8.json` is the 500K-drive run; the
+//! `streaming_generation` tests of smart-integration hold the rules it
+//! must meet (drive count, identity cells, window arithmetic and ratio,
+//! allocation receipts).
 
 use smart_dataset::gen::stream::GenConfig;
 use smart_dataset::{DriveModel, Fleet, FleetConfig};

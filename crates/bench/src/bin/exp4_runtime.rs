@@ -201,8 +201,8 @@ fn main() {
 
     // Paired ingestion timings: the single-threaded CSV reader versus the
     // sharded streaming reader at its default worker count, on the same
-    // in-memory export (bench_ingest is the dedicated deep-dive; these rows
-    // put ingestion on the same Table VIII footing as the selectors).
+    // in-memory export (these rows put ingestion on the same Table VIII
+    // footing as the selectors).
     let tickets = tickets_from_summaries(&fleet.summaries());
     let mut csv_buf = Vec::new();
     export_smart_csv(&fleet, &mut csv_buf).expect("in-memory export");

@@ -193,15 +193,17 @@ impl RunOptions {
         config
     }
 
-    /// Write a JSON result file when `--out` was given.
+    /// Write a JSON result file when `--out` was given, exiting with status
+    /// 1 when it cannot be written: a run that was asked for a report and
+    /// left none has failed.
     pub fn write_json<T: json::ToJson>(&self, name: &str, value: &T) {
         if let Some(dir) = &self.out_dir {
             let path = dir.join(format!("{name}.json"));
             if let Err(e) = smart_pipeline::report::write_json(&path, value) {
                 eprintln!("warning: failed to write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
+                std::process::exit(1);
             }
+            eprintln!("wrote {}", path.display());
         }
     }
 }

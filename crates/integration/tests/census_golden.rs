@@ -5,8 +5,11 @@
 //! wrote the file, exercising the streaming generator's bit-identity
 //! guarantee end to end.
 //!
-//! Regenerate with:
-//! `cargo run --release -p wefr-bench --bin bench_gen_stream -- --quick --out results`
+//! Regenerate into a temporary directory and copy the census over; `--out
+//! results` would also replace the committed 500K-drive `BENCH_pr8.json`
+//! with a quick run:
+//! `cargo run --release -p wefr-bench --bin bench_gen_stream -- --quick --out DIR`
+//! then `cp DIR/census_fig1.json results/`.
 
 use smart_dataset::gen::stream::GenConfig;
 use smart_pipeline::report::to_json;
@@ -37,7 +40,7 @@ fn fig1_census_regenerates_byte_identically() {
         to_json(&report),
         committed,
         "results/census_fig1.json drifted from the pinned generator output; \
-         regenerate with bench_gen_stream --out results and inspect the diff"
+         regenerate it as this file's docs describe and inspect the diff"
     );
 }
 

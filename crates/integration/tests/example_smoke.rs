@@ -1,38 +1,12 @@
 //! Smoke test: the quickstart example runs end to end against the real
 //! pipeline, exactly as `cargo run --example quickstart` would.
-//!
-//! `cargo test` builds the package's example targets before running its
-//! tests, so the compiled binary sits in `target/<profile>/examples/`
-//! alongside this test's own executable.
 
-use std::path::PathBuf;
-use std::process::Command;
-
-fn example_binary(name: &str) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test executable path");
-    path.pop(); // the test binary itself
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.join("examples").join(name)
-}
+mod common;
 
 #[test]
 fn quickstart_example_runs() {
-    let binary = example_binary("quickstart");
-    assert!(
-        binary.exists(),
-        "example binary missing at {} — was the quickstart example built?",
-        binary.display()
-    );
-    let output = Command::new(&binary).output().expect("example launches");
+    let output = common::run_quickstart(&[]);
     let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "quickstart exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
-        output.status
-    );
     assert!(
         stdout.contains("selected") && stdout.contains("fleet:"),
         "quickstart output missing expected sections:\n{stdout}"

@@ -8,13 +8,15 @@
 //! serializes on one lock; the flamegraph test runs quickstart as a
 //! subprocess and needs no lock.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use common::run_quickstart;
 use smart_dataset::csv::export_smart_csv;
 use smart_dataset::{
     import_smart_csv_sharded, stream_drive_batches, tickets_from_summaries, DatasetError,
@@ -211,39 +213,11 @@ fn sharded_ingest_spans_parent_across_threads_at_any_worker_count() {
     }
 }
 
-fn example_binary(name: &str) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test executable path");
-    path.pop();
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.join("examples").join(name)
-}
-
 #[test]
 fn committed_flamegraph_regenerates_byte_identically() {
-    let binary = example_binary("quickstart");
-    assert!(
-        binary.exists(),
-        "example binary missing at {} — was the quickstart example built?",
-        binary.display()
-    );
     let dir = std::env::temp_dir().join(format!("wefr_obs_flame_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let output = Command::new(&binary)
-        .env_remove("WEFR_LOG")
-        .env_remove("WEFR_METRICS_ADDR")
-        .env_remove("WEFR_WATCHDOG_SECS")
-        .env_remove("WEFR_OBS_ALLOC")
-        .env("WEFR_TELEMETRY_OUT", &dir)
-        .output()
-        .expect("quickstart launches");
-    assert!(
-        output.status.success(),
-        "quickstart exited with {:?}\nstderr:\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
+    run_quickstart(&[("WEFR_TELEMETRY_OUT", dir.to_str().expect("UTF-8 temp dir"))]);
     let generated = std::fs::read(dir.join("flame_quickstart.svg"))
         .expect("quickstart wrote a flamegraph next to its run report");
     let committed_path =

@@ -1,13 +1,16 @@
-//! Streaming-generation parity: the chunked generator (DESIGN.md §12) is
+//! Streaming generation (DESIGN.md §12). The chunked generator is
 //! bit-identical to the materialized `Fleet::generate` — records, tickets,
 //! and the WEFR selected set — at every chunk-size/worker setting,
-//! mirroring the ingest determinism matrix; and the scenario post-pass
-//! applied per batch inside the workers matches the whole-fleet post-pass.
+//! mirroring the ingest determinism matrix; the scenario post-pass applied
+//! per batch inside the workers matches the whole-fleet post-pass; and its
+//! bounded window stays well under the fleet it never materializes, both
+//! at test scale and in the committed 500K-drive report.
 
-use smart_dataset::gen::stream::{generate_fleet_streamed, GenConfig};
+use smart_dataset::gen::stream::{generate_fleet_streamed, stream_fleet_batches, GenConfig};
 use smart_dataset::{
-    apply_scenario, mixed_vendor_config, tickets_from_summaries, DriveModel, FirmwareRollout,
-    Fleet, FleetConfig, MissingCoverage, ReplacementChurn, ScenarioConfig, SmartAttribute, Vendor,
+    apply_scenario, mixed_vendor_config, tickets_from_summaries, DatasetError, DriveModel,
+    FirmwareRollout, Fleet, FleetConfig, MissingCoverage, ReplacementChurn, ScenarioConfig,
+    SmartAttribute, Vendor,
 };
 use smart_pipeline::{base_matrix, collect_samples, generated_base_matrix, SamplingConfig};
 use wefr_core::{SelectionInput, Wefr, WefrConfig};
@@ -64,6 +67,10 @@ fn wefr_selected_set_is_identical_from_streamed_and_materialized_sources() {
     let samples = collect_samples(&fleet, DriveModel::Mc1, 0, 364, &sampling).expect("samples");
     let (matrix, labels, mwi) =
         base_matrix(&fleet, DriveModel::Mc1, &samples).expect("base matrix");
+    assert!(
+        labels.contains(&true),
+        "degenerate run: no positive samples"
+    );
     let wefr = Wefr::new(WefrConfig {
         seed: 13,
         ..WefrConfig::default()
@@ -71,6 +78,10 @@ fn wefr_selected_set_is_identical_from_streamed_and_materialized_sources() {
     let reference = wefr
         .select(&SelectionInput::basic(&matrix, &labels))
         .expect("materialized selection");
+    assert!(
+        !reference.global.selected.is_empty(),
+        "degenerate run: WEFR selected no features"
+    );
 
     for workers in WORKER_MATRIX {
         let generated = generated_base_matrix(
@@ -154,5 +165,95 @@ fn per_batch_scenario_matches_whole_fleet_post_pass_at_every_setting() {
             );
             assert_eq!(streamed.summaries(), reference.summaries());
         }
+    }
+}
+
+/// Bytes resident at once in the pipeline are bounded by the largest batch
+/// times the batches in flight, `workers + max_queued_chunks + 1`; that
+/// window must stay at least 2x under the materialized fleet. The worker
+/// count is pinned: the window grows with it while the fleet's 32 chunks
+/// do not, so a count taken from the host would put the ratio below 2 on
+/// machines with 5 or more cores.
+#[test]
+fn bounded_window_is_at_least_twice_smaller_than_the_materialized_fleet() {
+    let config = FleetConfig::proportional(2000, 42).expect("valid census config");
+    let gen = GenConfig {
+        chunk_drives: 64,
+        workers: 2,
+        max_queued_chunks: 8,
+        scenario: None,
+    };
+    let stats = stream_fleet_batches::<DatasetError, _>(&config, &gen, |_| Ok(())).expect("stream");
+    let window = stats.peak_batch_bytes * (gen.workers + gen.max_queued_chunks + 1) as u64;
+    let ratio = stats.value_bytes as f64 / window as f64;
+    assert!(
+        ratio >= 2.0,
+        "bounded window {window} B is only {ratio:.2}x under the fleet's {} B",
+        stats.value_bytes
+    );
+}
+
+/// The committed paper-scale evidence, written by
+/// `bench_gen_stream --census 500000` with allocation tracking on, must
+/// back the bounded-memory claim with its own numbers.
+#[test]
+fn committed_paper_scale_report_backs_the_bounded_memory_claim() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_pr8.json"
+    ))
+    .expect("committed BENCH_pr8.json");
+    let report = json::parse(&text).expect("valid JSON");
+    let num = |value: &json::Value, key: &str| {
+        value
+            .field(key)
+            .and_then(json::Value::as_f64)
+            .unwrap_or_else(|| panic!("no number {key:?}"))
+    };
+    let array = |key: &str| {
+        report
+            .field(key)
+            .and_then(json::Value::as_array)
+            .unwrap_or_else(|| panic!("no array {key:?}"))
+    };
+
+    // 500,000 drives nominal; the population mix rounds per model.
+    assert!(num(&report, "drives") >= 499_000.0);
+    for key in ["rows", "samples", "positives"] {
+        assert!(num(&report, key) > 0.0, "degenerate run: {key} is 0");
+    }
+    assert!(!array("selected").is_empty(), "WEFR selected no features");
+    let identity = array("identity");
+    assert!(!identity.is_empty(), "empty bit-identity sweep");
+    for cell in identity {
+        assert_eq!(
+            cell.field("identical").and_then(json::Value::as_bool),
+            Some(true),
+            "stream diverged from Fleet::generate at workers={} chunk_drives={}",
+            num(cell, "workers"),
+            num(cell, "chunk_drives")
+        );
+    }
+
+    let window = num(&report, "bounded_window_bytes");
+    let batches = num(&report, "workers") + num(&report, "max_queued_chunks") + 1.0;
+    assert_eq!(window, num(&report, "peak_batch_bytes") * batches);
+    let ratio = num(&report, "bounded_ratio");
+    assert!((ratio - num(&report, "value_bytes") / window).abs() <= 1e-6 * ratio);
+    assert!(ratio >= 10.0, "window only {ratio:.1}x under the fleet");
+
+    assert_eq!(
+        report.field("alloc_tracked").and_then(json::Value::as_bool),
+        Some(true),
+        "the memory claim needs allocation receipts (obs-alloc, WEFR_OBS_ALLOC=1)"
+    );
+    let stages = array("stages");
+    assert!(!stages.is_empty(), "no stage rows");
+    for stage in stages {
+        assert!(
+            num(stage, "alloc_bytes") > 0.0,
+            "stage {:?} recorded no allocations",
+            stage.field("stage")
+        );
     }
 }

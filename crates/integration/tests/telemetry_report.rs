@@ -1,18 +1,22 @@
 //! End-to-end telemetry contract for the quickstart example, run as a real
-//! subprocess the way a user (or `scripts/ci.sh`) would launch it:
+//! subprocess the way a user would launch it:
 //!
 //! * with telemetry enabled, stage-level span lines appear on stderr and a
 //!   `telemetry_quickstart.json` run report lands in `WEFR_TELEMETRY_OUT`,
 //!   parses through `smart-json`, and contains every instrumented stage;
-//! * with telemetry off, stdout is bit-identical and no report is written —
-//!   observability must never perturb the results.
+//! * with the whole observability plane on (logger, run report, /metrics
+//!   endpoint, watchdog, allocation counters), stdout is bit-identical to a
+//!   run with every knob off, and the off run is silent and writes no
+//!   report — observability must never perturb the results.
+
+mod common;
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
 
+use common::run_quickstart;
 use telemetry::RunReport;
 
-/// The pipeline stages the run report must contain (ISSUE acceptance).
+/// The pipeline stages the run report must contain (DESIGN.md §6).
 const REQUIRED_STAGES: [&str; 6] = [
     "rankers",
     "ensemble",
@@ -21,43 +25,6 @@ const REQUIRED_STAGES: [&str; 6] = [
     "wearout_split",
     "evaluate",
 ];
-
-fn example_binary(name: &str) -> PathBuf {
-    let mut path = std::env::current_exe().expect("test executable path");
-    path.pop(); // the test binary itself
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.join("examples").join(name)
-}
-
-/// Run quickstart with a scrubbed telemetry environment plus `extra` vars.
-fn run_quickstart(extra: &[(&str, &str)]) -> Output {
-    let binary = example_binary("quickstart");
-    assert!(
-        binary.exists(),
-        "example binary missing at {} — was the quickstart example built?",
-        binary.display()
-    );
-    let mut command = Command::new(&binary);
-    command
-        .env_remove("WEFR_LOG")
-        .env_remove("WEFR_TELEMETRY_OUT")
-        .env_remove("WEFR_METRICS_ADDR")
-        .env_remove("WEFR_WATCHDOG_SECS")
-        .env_remove("WEFR_OBS_ALLOC");
-    for (key, value) in extra {
-        command.env(key, value);
-    }
-    let output = command.output().expect("example launches");
-    assert!(
-        output.status.success(),
-        "quickstart exited with {:?}\nstderr:\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
-    output
-}
 
 fn temp_out_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -112,14 +79,19 @@ fn quickstart_writes_a_complete_run_report_and_logs_spans() {
 fn telemetry_never_changes_stdout_or_writes_uninvited() {
     let dir = temp_out_dir("off");
     let baseline = run_quickstart(&[]);
+    // The whole plane: stderr logger, run report, live endpoint, watchdog
+    // and allocation counters (the last a no-op without obs-alloc).
     let traced = run_quickstart(&[
         ("WEFR_LOG", "debug"),
         ("WEFR_TELEMETRY_OUT", dir.to_str().unwrap()),
+        ("WEFR_METRICS_ADDR", "127.0.0.1:0"),
+        ("WEFR_WATCHDOG_SECS", "30"),
+        ("WEFR_OBS_ALLOC", "1"),
     ]);
     assert_eq!(
         String::from_utf8_lossy(&baseline.stdout),
         String::from_utf8_lossy(&traced.stdout),
-        "stdout must be bit-identical with telemetry on and off"
+        "stdout must be bit-identical with the observability plane on and off"
     );
     // Baseline had telemetry off entirely: stderr silent, no report file.
     assert!(

@@ -1,6 +1,7 @@
 //! The JSON lint report, mirroring the telemetry run-report conventions:
 //! `smart-json` serialization to `<out>/lint_<run>.json`, schema pinned by
-//! a version string and validated by `check_lint_report` in CI.
+//! a version string, and validated against the workspace's own run by
+//! `tests/self_check.rs`.
 
 use std::path::{Path, PathBuf};
 

@@ -60,6 +60,15 @@ fn report_from_workspace_run_validates() {
     let report = LintReport::from_outcome("self-check", &outcome);
     report.validate().expect("report invariants");
     assert!(report.active_rules() >= 5, "rule set shrank unexpectedly");
+    // The concurrency rules behind the model checker (DESIGN.md §13): the
+    // smart-sync shim's coverage, condvar predicate loops, and reasoned
+    // memory orderings.
+    for required in ["sync-hygiene", "condvar-loop", "atomic-ordering"] {
+        assert!(
+            report.rules.iter().any(|r| r.id == required && r.active),
+            "concurrency rule {required:?} is no longer active"
+        );
+    }
 }
 
 #[test]

@@ -286,6 +286,16 @@ fn scenario_table_drives_ingest_and_selection_end_to_end() {
 
     let table = rows();
     assert!(table.len() >= 8, "chaos table must keep at least 8 rows");
+    assert!(
+        table.iter().any(|row| matches!(
+            row.expect,
+            Expect::Ok {
+                recovers_clean: true,
+                ..
+            }
+        )),
+        "no row is recovers_clean, so selection stability is never checked"
+    );
     for row in &table {
         // Fleet-level perturbation, then row-level CSV corruption.
         let perturbed = apply_scenario(&clean, &row.scenario).expect(row.name);
