@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Quality ablations for the design choices DESIGN.md calls out — not
-//! runtimes (see the Criterion benches for those) but *outcomes*:
+//! runtimes (`exp4_runtime` times them) but *outcomes*:
 //!
 //! 1. BOCPD versus binary segmentation: recovered change-point location on
 //!    survival curves of known knee.

@@ -14,11 +14,10 @@
 //! --model M     restrict to one drive model (repeatable; default all)
 //! ```
 
-use smart_dataset::{Census, DriveModel, Fleet, FleetConfig};
+use smart_dataset::{Census, DatasetError, DriveModel, Fleet, FleetConfig};
 use smart_pipeline::experiment::ExperimentConfig;
+use smart_trees::{ForestConfig, MaxFeatures, SplitStrategy, TreeConfig};
 use std::path::PathBuf;
-
-pub mod timing;
 
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -74,7 +73,8 @@ impl RunOptions {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags or bad values.
+    /// Returns a human-readable message for unknown flags or bad values,
+    /// including values the fleet or census configuration rejects.
     pub fn parse(args: &[String]) -> Result<RunOptions, String> {
         let mut opts = RunOptions::default();
         let mut i = 0;
@@ -124,6 +124,8 @@ impl RunOptions {
             opts.drives_per_model = opts.drives_per_model.min(120);
             opts.census_total = opts.census_total.min(8_000);
         }
+        opts.fleet_config().map_err(|e| e.to_string())?;
+        opts.census_config().map_err(|e| e.to_string())?;
         Ok(opts)
     }
 
@@ -149,16 +151,18 @@ impl RunOptions {
     ///
     /// Panics on an invalid configuration (impossible for parsed options).
     pub fn fleet(&self) -> Fleet {
+        Fleet::generate(&self.fleet_config().expect("valid fleet config"))
+    }
+
+    fn fleet_config(&self) -> Result<FleetConfig, DatasetError> {
         let mut builder = FleetConfig::builder().days(self.days).seed(self.seed);
         for m in self.models() {
             builder = builder.drives(m, self.drives_per_model);
         }
-        let config = builder
+        builder
             .per_model_scale(DriveModel::Ma2, 4.0)
             .per_model_scale(DriveModel::Mb2, 3.0)
             .build()
-            .expect("valid fleet config");
-        Fleet::generate(&config)
     }
 
     /// Build the lifecycle census for fleet-level statistics (Table II,
@@ -168,9 +172,11 @@ impl RunOptions {
     ///
     /// Panics on an invalid configuration (impossible for parsed options).
     pub fn census(&self) -> Census {
-        let config =
-            FleetConfig::proportional(self.census_total, self.seed).expect("valid census config");
-        Census::generate(&config)
+        Census::generate(&self.census_config().expect("valid census config"))
+    }
+
+    fn census_config(&self) -> Result<FleetConfig, DatasetError> {
+        FleetConfig::proportional(self.census_total, self.seed)
     }
 
     /// The experiment configuration matching this run's scale.
@@ -191,6 +197,25 @@ impl RunOptions {
         };
         config.seed = self.seed;
         config
+    }
+
+    /// The prediction-model forest of Exp#4's paired `rf_train` rows, under
+    /// one split engine: 50 trees (20 under `--quick`) of depth 13, leaves
+    /// of at least 2 samples, √features per split. The timing gate that
+    /// bounds histogram against exact training fits this same forest.
+    pub fn rf_train_config(&self, strategy: SplitStrategy) -> ForestConfig {
+        ForestConfig {
+            n_trees: if self.quick { 20 } else { 50 },
+            tree: TreeConfig {
+                max_depth: 13,
+                min_samples_leaf: 2,
+                max_features: MaxFeatures::Sqrt,
+                ..TreeConfig::default()
+            },
+            seed: self.seed,
+            n_threads: None,
+            strategy,
+        }
     }
 
     /// Write a JSON result file when `--out` was given, exiting with status
@@ -290,6 +315,22 @@ mod tests {
         assert!(parse(&["--drives"]).is_err());
         assert!(parse(&["--drives", "abc"]).is_err());
         assert!(parse(&["--model", "XY9"]).is_err());
+        // Values that parse as numbers but that the fleet or census
+        // configuration rejects are usage errors too, not later panics.
+        for bad in [
+            &["--quick", "--drives", "0"][..],
+            &["--quick", "--days", "0"],
+            &["--days", "119"],
+            &["--census", "0"],
+            &["--quick", "--census", "3"],
+        ] {
+            let err = parse(bad).expect_err("invalid configuration accepted");
+            assert!(
+                err.contains("invalid fleet configuration"),
+                "{bad:?}: {err}"
+            );
+        }
+        assert!(parse(&["--days", "120", "--census", "100"]).is_ok());
     }
 
     #[test]

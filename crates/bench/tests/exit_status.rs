@@ -12,6 +12,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
+fn a_flag_value_the_fleet_rejects_is_a_usage_error() {
+    let output = Command::new(env!("CARGO_BIN_EXE_exp4_runtime"))
+        .args(["--quick", "--drives", "0"])
+        .output()
+        .expect("exp4_runtime launches");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("no drives configured") && stderr.contains("usage:"));
+}
+
+#[test]
 fn unwritable_out_dir_fails_the_run() {
     let dir = fresh_dir("out");
     // A directory below a regular file can never be created.

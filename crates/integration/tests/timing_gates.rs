@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use smart_dataset::csv::{export_smart_csv, import_smart_csv};
 use smart_dataset::{import_smart_csv_sharded, tickets_from_summaries, DriveModel, IngestConfig};
-use smart_trees::{ForestConfig, MaxFeatures, RandomForest, SplitStrategy, TreeConfig};
+use smart_trees::{ForestConfig, RandomForest, SplitStrategy};
 use wefr_bench::{characterization_matrix, RunOptions};
 
 /// Pairs timed per test. On a shared 2-vCPU host the per-pair on/off
@@ -71,25 +71,13 @@ fn quick_mc1() -> RunOptions {
 fn histogram_forest_fit_is_not_slower_than_exact() {
     let opts = quick_mc1();
     let (matrix, labels, _) = characterization_matrix(&opts.fleet(), DriveModel::Mc1, opts.seed);
-    // The paired `rf_train` rows of exp4_runtime --quick.
-    let forest = |strategy| ForestConfig {
-        n_trees: 20,
-        tree: TreeConfig {
-            max_depth: 13,
-            min_samples_leaf: 2,
-            max_features: MaxFeatures::Sqrt,
-            ..TreeConfig::default()
-        },
-        seed: opts.seed,
-        n_threads: None,
-        strategy,
-    };
     let fit = |config: &ForestConfig| {
         RandomForest::fit(&matrix, &labels, config).expect("two-class data");
     };
+    // The forest of exp4_runtime's paired `rf_train` rows.
     let (exact, histogram) = (
-        forest(SplitStrategy::Exact),
-        forest(SplitStrategy::Histogram),
+        opts.rf_train_config(SplitStrategy::Exact),
+        opts.rf_train_config(SplitStrategy::Histogram),
     );
     let ratio = median_pair_ratio(
         "forest fit, histogram / exact",

@@ -26,7 +26,7 @@ impl Default for SplitStrategy {
 impl SplitStrategy {
     /// Parse the `WEFR_SPLIT_STRATEGY` override from an environment lookup
     /// (`"exact"` or `"histogram"`, case-insensitive). Malformed values
-    /// warn on stderr and are ignored, mirroring the `WEFR_BENCH_*` policy.
+    /// warn on stderr and are ignored.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Option<SplitStrategy> {
         let raw = get("WEFR_SPLIT_STRATEGY")?;
         match raw.trim().to_ascii_lowercase().as_str() {

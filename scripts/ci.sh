@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: format, hermetic offline build, tests, docs, a hard check that
 # the dependency graph contains zero registry crates (DESIGN.md §5), the
-# model checker, the smart-lint static-analysis sweep (DESIGN.md §9), and
-# the three release-mode timing gates.
+# model checker, the smart-lint static-analysis sweep (DESIGN.md §9), the
+# three release-mode timing gates, and a check that results/ is untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,5 +65,13 @@ step "timing gates: histogram fit, 1-worker sharded ingest, observability overhe
 # the paper's results, goldens included, runs in the cargo test step above.
 cargo test -q --release --offline -p smart-integration --test timing_gates \
   -- --ignored --test-threads=1 --nocapture
+
+step "results/ is left as committed"
+# Nothing above may write, rewrite or leave behind a file under results/.
+dirty=$(git status --porcelain -- results/)
+if [ -n "$dirty" ]; then
+  printf 'results/ changed during the run:\n%s\n' "$dirty" >&2
+  exit 1
+fi
 
 step "all checks passed"
