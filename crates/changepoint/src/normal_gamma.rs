@@ -64,10 +64,10 @@ pub fn student_t_log_pdf(x: f64, df: f64, loc: f64, scale: f64) -> f64 {
 pub fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
-        0.999_999_999_999_809_93,
+        0.999_999_999_999_809_9,
         676.520_368_121_885_1,
         -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
+        771.323_428_777_653_1,
         -176.615_029_162_140_6,
         12.507_343_278_686_905,
         -0.138_571_095_265_720_12,

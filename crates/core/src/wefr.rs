@@ -370,13 +370,13 @@ mod tests {
     use rng::rngs::StdRng;
     use rng::{RngExt, SeedableRng};
 
+    /// Matrix, labels, per-sample `MWI_N`, survival pairs.
+    type Population = (FeatureMatrix, Vec<bool>, Vec<f64>, Vec<(f64, bool)>);
+
     /// A synthetic drive-sample population with wear-dependent signal:
     /// below MWI 40 failures follow `wear_feature`; above it they follow
     /// `error_feature`. Plus noise columns.
-    fn wearout_population(
-        n: usize,
-        seed: u64,
-    ) -> (FeatureMatrix, Vec<bool>, Vec<f64>, Vec<(f64, bool)>) {
+    fn wearout_population(n: usize, seed: u64) -> Population {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut labels = Vec::with_capacity(n);
         let mut mwi = Vec::with_capacity(n);

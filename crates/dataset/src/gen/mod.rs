@@ -15,5 +15,4 @@ pub use scenario::{
 };
 pub use stream::{
     generate_drive_range, generate_fleet_streamed, stream_fleet_batches, GenConfig, GenStats,
-    ENV_GEN_CHUNK_DRIVES,
 };

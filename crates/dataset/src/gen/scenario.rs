@@ -248,10 +248,9 @@ pub fn apply_scenario(fleet: &Fleet, scenario: &ScenarioConfig) -> Result<Fleet,
     }
     // Replacement ids continue past the densest existing id, in victim
     // order, so the perturbed fleet's ids stay unique and deterministic.
-    let mut next_id = records.iter().map(|d| d.id.0).max().map_or(0, |m| m + 1);
-    for replacement in pending {
-        records.push(replacement.into_record(DriveId(next_id)));
-        next_id += 1;
+    let first_id = records.iter().map(|d| d.id.0).max().map_or(0, |m| m + 1);
+    for (id, replacement) in (first_id..).zip(pending) {
+        records.push(replacement.into_record(DriveId(id)));
     }
     Ok(Fleet::from_records(fleet.config().clone(), records))
 }

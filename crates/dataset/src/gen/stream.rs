@@ -31,13 +31,9 @@ use crate::error::DatasetError;
 use crate::fleet::{drive_rng, Fleet};
 use crate::gen::scenario::{self, apply_scenario_to_drive, PendingReplacement, ScenarioConfig};
 use crate::gen::{plan_drive, simulate_drive};
-use crate::ingest::{DriveBatch, SkipCounts, ENV_WORKERS};
+use crate::ingest::{DriveBatch, SkipCounts};
 use crate::model::DriveModel;
 use crate::records::{DriveId, DriveRecord};
-
-/// Environment knob: drives per generation chunk (see
-/// [`GenConfig::from_env`]).
-pub const ENV_GEN_CHUNK_DRIVES: &str = "WEFR_GEN_CHUNK_DRIVES";
 
 /// Tuning for the streaming generator. The sizing knobs trade memory and
 /// parallelism for latency only — the generated fleet is bit-identical for
@@ -69,31 +65,6 @@ impl Default for GenConfig {
             max_queued_chunks: 8,
             scenario: None,
         }
-    }
-}
-
-impl GenConfig {
-    /// Build a config from a key → value lookup, starting from defaults.
-    /// Recognises [`ENV_GEN_CHUNK_DRIVES`] and the shared
-    /// [`ENV_WORKERS`]; unparseable or zero values are ignored.
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> GenConfig {
-        let mut config = GenConfig::default();
-        let parsed = |name: &str| get(name).and_then(|v| v.trim().parse::<usize>().ok());
-        if let Some(chunk) = parsed(ENV_GEN_CHUNK_DRIVES).filter(|&v| v > 0) {
-            config.chunk_drives = chunk;
-        }
-        if let Some(workers) = parsed(ENV_WORKERS).filter(|&v| v > 0) {
-            config.workers = workers;
-        }
-        config
-    }
-
-    /// [`GenConfig::from_lookup`] over the process environment.
-    pub fn from_env() -> GenConfig {
-        // lint:allow(side-effects) the documented contract of this
-        // constructor is reading the WEFR_GEN_CHUNK_DRIVES / WEFR_WORKERS
-        // knobs; everything else must take the config as a parameter
-        GenConfig::from_lookup(|name| std::env::var(name).ok())
     }
 }
 
@@ -485,23 +456,5 @@ mod tests {
             ..GenConfig::default()
         };
         assert!(generate_fleet_streamed(&config, &gen).is_err());
-    }
-
-    #[test]
-    fn config_from_lookup_reads_knobs() {
-        let config = GenConfig::from_lookup(|name| match name {
-            ENV_GEN_CHUNK_DRIVES => Some(" 96 ".to_string()),
-            ENV_WORKERS => Some("3".to_string()),
-            _ => None,
-        });
-        assert_eq!(config.chunk_drives, 96);
-        assert_eq!(config.workers, 3);
-        // Zero and garbage fall back to defaults.
-        let config = GenConfig::from_lookup(|name| match name {
-            ENV_GEN_CHUNK_DRIVES => Some("0".to_string()),
-            ENV_WORKERS => Some("lots".to_string()),
-            _ => None,
-        });
-        assert_eq!(config, GenConfig::default());
     }
 }

@@ -13,6 +13,7 @@ use smart_dataset::{
     tickets_from_summaries, DriveModel, DriveRecord, Fleet, FleetConfig, IngestConfig,
     TroubleTicket,
 };
+use smart_pipeline::PredictorConfig;
 use sync::{Arc, Mutex};
 use telemetry::serve::http_get;
 
@@ -29,13 +30,18 @@ fn fleet() -> Fleet {
 }
 
 fn serve_config() -> ServeConfig {
-    let mut config = ServeConfig::default();
-    config.period_days = 21;
-    config.predictor.n_trees = 15;
-    config.predictor.max_depth = 6;
-    config.predictor.seed = 3;
-    config.predictor.n_threads = Some(1);
-    config
+    let defaults = ServeConfig::default();
+    ServeConfig {
+        period_days: 21,
+        predictor: PredictorConfig {
+            n_trees: 15,
+            max_depth: 6,
+            seed: 3,
+            n_threads: Some(1),
+            ..defaults.predictor
+        },
+        ..defaults
+    }
 }
 
 /// Ingest `fleet`'s CSV with `workers` parser threads, replay to the last

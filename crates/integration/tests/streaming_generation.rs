@@ -2,7 +2,8 @@
 //! bit-identical to the materialized `Fleet::generate` — records, tickets,
 //! and the WEFR selected set — at every chunk-size/worker setting,
 //! mirroring the ingest determinism matrix; the scenario post-pass applied
-//! per batch inside the workers matches the whole-fleet post-pass; and its
+//! per batch inside the workers matches the whole-fleet post-pass, and so
+//! does the base matrix streamed from it, NaN cells included; and its
 //! bounded window stays well under the fleet it never materializes, both
 //! at test scale and in the committed 500K-drive report.
 
@@ -151,6 +152,23 @@ fn per_batch_scenario_matches_whole_fleet_post_pass_at_every_setting() {
         String::from_utf8(buf).expect("utf8")
     };
     let reference_csv = csv(&reference);
+    // The MA1 base matrix over the scenario fleet carries the blanked UCE
+    // cells as NaN; the streamed matrix must carry them bit for bit. No
+    // downsampling, so a window without an MA1 failure keeps its rows.
+    let sampling = SamplingConfig {
+        downsample_ratio: None,
+        ..SamplingConfig::default()
+    };
+    let last_day = config.days() - 1;
+    let samples =
+        collect_samples(&reference, DriveModel::Ma1, 0, last_day, &sampling).expect("MA1 samples");
+    let (matrix, labels, mwi) =
+        base_matrix(&reference, DriveModel::Ma1, &samples).expect("reference matrix");
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert!(
+        (0..matrix.n_features()).any(|c| matrix.column(c).iter().any(|v| v.is_nan())),
+        "the MA1 reference matrix has no NaN cell to compare"
+    );
     for workers in WORKER_MATRIX {
         for chunk_drives in [3, 17, 10_000] {
             let gen = GenConfig {
@@ -164,6 +182,22 @@ fn per_batch_scenario_matches_whole_fleet_post_pass_at_every_setting() {
                 "workers={workers} chunk_drives={chunk_drives}"
             );
             assert_eq!(streamed.summaries(), reference.summaries());
+
+            let generated =
+                generated_base_matrix(&config, &gen, DriveModel::Ma1, 0, last_day, &sampling)
+                    .expect("streamed MA1 matrix");
+            let tag = format!("workers={workers} chunk_drives={chunk_drives}");
+            assert_eq!(generated.labels, labels, "{tag}");
+            assert_eq!(bits(&generated.mwi), bits(&mwi), "{tag}");
+            assert_eq!(generated.matrix.feature_names(), matrix.feature_names());
+            for c in 0..matrix.n_features() {
+                assert_eq!(
+                    bits(generated.matrix.column(c)),
+                    bits(matrix.column(c)),
+                    "{tag} column {}",
+                    matrix.feature_names()[c]
+                );
+            }
         }
     }
 }

@@ -223,7 +223,7 @@ fn diag(file: &SourceFile, line: usize, rule: &str, message: String) -> Diagnost
     }
 }
 
-fn ident_at<'a>(code: &'a [Token], i: usize) -> Option<&'a str> {
+fn ident_at(code: &[Token], i: usize) -> Option<&str> {
     code.get(i)
         .filter(|t| t.kind == TokenKind::Ident)
         .map(|t| t.text.as_str())

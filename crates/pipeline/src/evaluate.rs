@@ -6,7 +6,7 @@
 use crate::error::PipelineError;
 use crate::label::SampleRef;
 use crate::train::FailurePredictor;
-use smart_dataset::{DriveModel, Fleet};
+use smart_dataset::{DriveModel, DriveRecord, Fleet};
 
 /// The per-drive outcome of scoring one test phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,6 +113,32 @@ pub fn score_phase(
     test_end: u32,
     horizon: u32,
 ) -> Result<Vec<DriveScore>, PipelineError> {
+    score_routed(
+        &[predictor],
+        |_, _| Ok(0),
+        fleet,
+        model,
+        test_start,
+        test_end,
+        horizon,
+    )
+    .map(|(scores, _)| scores)
+}
+
+/// [`score_phase`] over several predictors, and the one per-drive scoring
+/// loop: `route` names the predictor (an index into `predictors`) that
+/// scores each drive-day, and beside each drive score comes the route of
+/// the drive's peak day. Each predictor scores its days of a drive in one
+/// `score_samples` batch; scores are per row, so batching changes none.
+pub(crate) fn score_routed(
+    predictors: &[&FailurePredictor],
+    route: impl Fn(&DriveRecord, u32) -> Result<usize, PipelineError>,
+    fleet: &Fleet,
+    model: DriveModel,
+    test_start: u32,
+    test_end: u32,
+    horizon: u32,
+) -> Result<(Vec<DriveScore>, Vec<usize>), PipelineError> {
     let span = telemetry::span!(
         "evaluate",
         model = model.to_string(),
@@ -121,6 +147,7 @@ pub fn score_phase(
         horizon = horizon,
     );
     let mut drive_scores = Vec::new();
+    let mut peak_routes = Vec::new();
     for (drive_index, drive) in fleet.drives().iter().enumerate() {
         if drive.model != model {
             continue;
@@ -132,25 +159,32 @@ pub fn score_phase(
         if start > end {
             continue;
         }
-        let samples: Vec<SampleRef> = (start..=end)
-            .map(|day| SampleRef {
-                drive_index,
-                day,
-                label: false, // unused for scoring
-            })
-            .collect();
-        let scores = predictor.score_samples(fleet, &samples)?;
-        let (best_idx, best) =
-            scores
-                .iter()
-                .enumerate()
-                .fold((0, f64::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                    if v > bv {
-                        (i, v)
-                    } else {
-                        (bi, bv)
-                    }
-                });
+        let routes = (start..=end)
+            .map(|day| route(drive, day))
+            .collect::<Result<Vec<usize>, _>>()?;
+        let sample = |day| SampleRef {
+            drive_index,
+            day,
+            label: false, // unused for scoring
+        };
+        let mut scores = vec![f64::NEG_INFINITY; routes.len()];
+        for (p, predictor) in predictors.iter().enumerate() {
+            let days: Vec<usize> = (0..routes.len()).filter(|&i| routes[i] == p).collect();
+            if days.is_empty() {
+                continue;
+            }
+            let samples: Vec<SampleRef> = days.iter().map(|&i| sample(start + i as u32)).collect();
+            for (&i, score) in days.iter().zip(predictor.score_samples(fleet, &samples)?) {
+                scores[i] = score;
+            }
+        }
+        // The first maximum over the drive's test days.
+        let (mut best_idx, mut best) = (0, f64::NEG_INFINITY);
+        for (i, &score) in scores.iter().enumerate() {
+            if score > best {
+                (best_idx, best) = (i, score);
+            }
+        }
         let actual = drive
             .failure
             .is_some_and(|f| f.day >= test_start && f.day <= test_end.saturating_add(horizon));
@@ -161,9 +195,10 @@ pub fn score_phase(
         drive_scores.push(DriveScore {
             drive_index,
             max_score: best,
-            peak_day: samples[best_idx].day,
+            peak_day: start + best_idx as u32,
             actual,
         });
+        peak_routes.push(routes[best_idx]);
     }
     if drive_scores.is_empty() {
         return Err(PipelineError::invalid(format!(
@@ -175,7 +210,7 @@ pub fn score_phase(
         "actual_failures",
         drive_scores.iter().filter(|s| s.actual).count(),
     );
-    Ok(drive_scores)
+    Ok((drive_scores, peak_routes))
 }
 
 /// Report a confusion outcome to telemetry: one info event plus cumulative

@@ -3,9 +3,13 @@
 //! pipeline on one drive model, at the paper's fixed per-model recall.
 
 use crate::error::PipelineError;
-use crate::evaluate::{metrics_at_fixed_recall, score_phase, DriveScore, EvalMetrics};
+use crate::evaluate::{
+    metrics_at_fixed_recall, score_phase, score_routed, DriveScore, EvalMetrics,
+};
 use crate::label::SampleRef;
-use crate::matrix::{base_features, base_matrix, collect_samples, survival_pairs, SamplingConfig};
+use crate::matrix::{
+    base_features, base_matrix, collect_samples, mwi_on, survival_pairs, SamplingConfig,
+};
 use crate::split::{paper_phases, Phase};
 use crate::train::{FailurePredictor, PredictorConfig};
 use smart_dataset::{DriveModel, FeatureId, Fleet, SmartAttribute};
@@ -239,58 +243,24 @@ impl PhasePredictor {
                 low,
                 high,
             } => {
-                let mwi = FeatureId::normalized(SmartAttribute::Mwi);
-                let mut out = Vec::new();
-                let mut best_group = Vec::new();
-                for (drive_index, drive) in fleet.drives().iter().enumerate() {
-                    if drive.model != model {
-                        continue;
-                    }
-                    let start = phase.test_start.max(drive.deploy_day);
-                    let end = phase.test_end.min(drive.last_day());
-                    if start > end {
-                        continue;
-                    }
-                    let mut best = f64::NEG_INFINITY;
-                    let mut peak_day = start;
-                    let mut from_low = true;
-                    for day in start..=end {
-                        let m = drive.value_on(day, mwi).ok_or_else(|| {
-                            PipelineError::invalid(format!(
-                                "drive {} lacks MWI on day {day}",
-                                drive.id
-                            ))
-                        })?;
-                        let is_low = m <= *threshold;
-                        let predictor = if is_low { low } else { high };
-                        let score = predictor.score_drive_day(drive, day)?;
-                        if score > best {
-                            best = score;
-                            peak_day = day;
-                            from_low = is_low;
-                        }
-                    }
-                    let actual = drive.failure.is_some_and(|f| {
-                        f.day >= phase.test_start && f.day <= phase.test_end.saturating_add(horizon)
-                    });
-                    out.push(DriveScore {
-                        drive_index,
-                        max_score: best,
-                        peak_day,
-                        actual,
-                    });
-                    best_group.push(from_low);
-                }
-                if out.is_empty() {
-                    return Err(PipelineError::invalid("no drives in test phase"));
-                }
+                // Route 0 (low) at or below the change point, 1 (high) above.
+                let (mut scores, peak_routes) = score_routed(
+                    &[low, high],
+                    |drive, day| Ok(usize::from(mwi_on(drive, day)? > *threshold)),
+                    fleet,
+                    model,
+                    phase.test_start,
+                    phase.test_end,
+                    horizon,
+                )?;
                 // The two group models are trained on different populations
                 // and are not probability-calibrated against each other;
                 // pooling raw scores would let the hotter model's drives
                 // crowd the ranking. Replace each drive's score with its
                 // quantile *within* the drives scored by the same model.
-                quantile_normalize(&mut out, &best_group);
-                Ok(out)
+                let from_low: Vec<bool> = peak_routes.iter().map(|&r| r == 0).collect();
+                quantile_normalize(&mut scores, &from_low);
+                Ok(scores)
             }
         }
     }
@@ -1057,6 +1027,87 @@ mod tests {
             assert_eq!(*mwi, drive.final_mwi_n().unwrap());
             assert_eq!(*failed, drive.failure.is_some_and(|f| f.day <= 300));
         }
+    }
+
+    #[test]
+    fn grouped_scoring_matches_the_per_day_loop() {
+        let fleet = quick_fleet();
+        let model = DriveModel::Mc1;
+        let horizon = 30;
+        let phase = paper_phases(fleet.config().days()).unwrap()[0];
+        let (fit_start, fit_end) = phase.fit_range();
+        let samples = collect_samples(
+            &fleet,
+            model,
+            fit_start,
+            fit_end,
+            &SamplingConfig::default(),
+        )
+        .unwrap();
+        let config = PredictorConfig {
+            n_trees: 10,
+            max_depth: 6,
+            n_threads: Some(1),
+            ..PredictorConfig::default()
+        };
+        let train = |base: &[FeatureId], seed| {
+            FailurePredictor::train(&fleet, &samples, base, &PredictorConfig { seed, ..config })
+                .unwrap()
+        };
+        let low = train(&[FeatureId::raw(SmartAttribute::Uce)], 1);
+        let high = train(&[FeatureId::raw(SmartAttribute::Oce)], 2);
+        // Mid-range: the median MWI_N over the phase's test drive-days.
+        let mwi = FeatureId::normalized(SmartAttribute::Mwi);
+        let mut test_mwi: Vec<f64> = fleet
+            .drives_of_model(model)
+            .flat_map(|d| {
+                (phase.test_start..=phase.test_end).filter_map(|day| d.value_on(day, mwi))
+            })
+            .collect();
+        test_mwi.sort_by(f64::total_cmp);
+        let threshold = test_mwi[test_mwi.len() / 2];
+
+        // The oracle: each drive's first maximum over its test days of
+        // `score_drive_day`, from the model the day's MWI_N routes to, then
+        // quantile normalization grouped by the route of the peak day.
+        let mut expected = Vec::new();
+        let mut from_low = Vec::new();
+        for (drive_index, drive) in fleet.drives().iter().enumerate() {
+            let start = phase.test_start.max(drive.deploy_day);
+            let end = phase.test_end.min(drive.last_day());
+            if drive.model != model || start > end {
+                continue;
+            }
+            let (mut best, mut peak_day, mut peak_low) = (f64::NEG_INFINITY, start, true);
+            for day in start..=end {
+                let is_low = drive.value_on(day, mwi).unwrap() <= threshold;
+                let predictor = if is_low { &low } else { &high };
+                let score = predictor.score_drive_day(drive, day).unwrap();
+                if score > best {
+                    (best, peak_day, peak_low) = (score, day, is_low);
+                }
+            }
+            let actual = drive
+                .failure
+                .is_some_and(|f| f.day >= phase.test_start && f.day <= phase.test_end + horizon);
+            expected.push(DriveScore {
+                drive_index,
+                max_score: best,
+                peak_day,
+                actual,
+            });
+            from_low.push(peak_low);
+        }
+        assert!(from_low.contains(&true) && from_low.contains(&false));
+        quantile_normalize(&mut expected, &from_low);
+
+        let grouped = PhasePredictor::Grouped {
+            threshold,
+            low,
+            high,
+        };
+        let scores = grouped.score_phase(&fleet, model, &phase, horizon).unwrap();
+        assert_eq!(scores, expected);
     }
 
     #[test]

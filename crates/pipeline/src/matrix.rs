@@ -3,7 +3,7 @@
 
 use crate::error::PipelineError;
 use crate::label::{labeled_days, SampleRef};
-use smart_dataset::{DriveModel, FeatureId, Fleet, SmartAttribute, ValueKind};
+use smart_dataset::{DriveModel, DriveRecord, FeatureId, Fleet, SmartAttribute, ValueKind};
 use smart_stats::sampling::downsample_negatives;
 use smart_stats::FeatureMatrix;
 
@@ -48,6 +48,187 @@ impl Default for SamplingConfig {
     }
 }
 
+/// The training sample rule of one window (§II-B): every positive
+/// drive-day of `model` in `[from_day, to_day]` plus every
+/// `neg_stride`-th negative counted from deployment, then negatives
+/// downsampled over the whole window's label sequence. The one copy of the
+/// rule; the materialised and both streamed matrix sources apply it.
+pub(crate) struct SampleRule<'a> {
+    model: DriveModel,
+    from_day: u32,
+    to_day: u32,
+    config: &'a SamplingConfig,
+}
+
+impl<'a> SampleRule<'a> {
+    /// The rule for `model` over `[from_day, to_day]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::InvalidInput`] when `neg_stride == 0`.
+    pub(crate) fn new(
+        model: DriveModel,
+        from_day: u32,
+        to_day: u32,
+        config: &'a SamplingConfig,
+    ) -> Result<Self, PipelineError> {
+        if config.neg_stride == 0 {
+            return Err(PipelineError::invalid("neg_stride must be at least 1"));
+        }
+        Ok(SampleRule {
+            model,
+            from_day,
+            to_day,
+            config,
+        })
+    }
+
+    /// The samples of one drive, in day order (none for another model).
+    pub(crate) fn drive_samples<'d>(
+        &self,
+        drive: &'d DriveRecord,
+        drive_index: usize,
+    ) -> impl Iterator<Item = SampleRef> + 'd {
+        let (from, to, horizon) = (self.from_day, self.to_day, self.config.horizon);
+        let stride = self.config.neg_stride;
+        (drive.model == self.model)
+            .then(|| labeled_days(drive, drive_index, from, to, horizon))
+            .into_iter()
+            .flatten()
+            .filter(move |s| s.label || (s.day - drive.deploy_day).is_multiple_of(stride))
+    }
+
+    /// Reject a window that holds `count == 0` samples.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::InvalidInput`] when the window holds no
+    /// samples.
+    pub(crate) fn require_samples(&self, count: usize) -> Result<(), PipelineError> {
+        if count == 0 {
+            return Err(PipelineError::invalid(format!(
+                "no samples of model {} in days {}..={}",
+                self.model, self.from_day, self.to_day
+            )));
+        }
+        Ok(())
+    }
+
+    /// The indices (ascending) of the window's samples that survive
+    /// negative downsampling, given the window's whole label sequence;
+    /// `None` when every sample survives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::InvalidInput`] when the window holds no
+    /// samples.
+    pub(crate) fn downsample(&self, labels: &[bool]) -> Result<Option<Vec<usize>>, PipelineError> {
+        self.require_samples(labels.len())?;
+        match self.config.downsample_ratio {
+            Some(ratio) => Ok(Some(downsample_negatives(labels, ratio, self.config.seed)?)),
+            None => Ok(None),
+        }
+    }
+}
+
+/// `MWI_N` of `drive` on `day` — the value wear-out grouping reads.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::InvalidInput`] when the drive is not observed
+/// on `day`.
+pub(crate) fn mwi_on(drive: &DriveRecord, day: u32) -> Result<f64, PipelineError> {
+    drive
+        .value_on(day, FeatureId::normalized(SmartAttribute::Mwi))
+        .ok_or_else(|| PipelineError::invalid(format!("drive {} lacks MWI on day {day}", drive.id)))
+}
+
+/// Base-matrix rows under construction: one column per feature of
+/// [`base_features`], plus each row's label and `MWI_N`. The one row
+/// layout; every base-matrix source builds through it.
+pub(crate) struct BaseRows {
+    features: Vec<FeatureId>,
+    columns: Vec<Vec<f64>>,
+    labels: Vec<bool>,
+    mwi: Vec<f64>,
+}
+
+impl BaseRows {
+    /// No rows yet, every column sized for `rows` (0 when unknown).
+    pub(crate) fn new(model: DriveModel, rows: usize) -> Self {
+        let features = base_features(model);
+        BaseRows {
+            columns: features.iter().map(|_| Vec::with_capacity(rows)).collect(),
+            labels: Vec::with_capacity(rows),
+            mwi: Vec::with_capacity(rows),
+            features,
+        }
+    }
+
+    /// The label of every row so far.
+    pub(crate) fn labels(&self) -> &[bool] {
+        &self.labels
+    }
+
+    /// Append the row of sample `s` of `drive`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::InvalidInput`] when the drive is not
+    /// observed on the sample's day.
+    pub(crate) fn push(&mut self, drive: &DriveRecord, s: SampleRef) -> Result<(), PipelineError> {
+        let day = s.day;
+        for (column, f) in self.columns.iter_mut().zip(&self.features) {
+            let v = drive.value_on(day, *f).ok_or_else(|| {
+                PipelineError::invalid(format!("drive {} lacks {f} on day {day}", drive.id))
+            })?;
+            column.push(v);
+        }
+        self.mwi.push(mwi_on(drive, day)?);
+        self.labels.push(s.label);
+        Ok(())
+    }
+
+    /// Keep only the rows at `kept` (ascending indices).
+    pub(crate) fn keep(&mut self, kept: &[usize]) {
+        for column in &mut self.columns {
+            *column = kept.iter().map(|&i| column[i]).collect();
+        }
+        self.labels = kept.iter().map(|&i| self.labels[i]).collect();
+        self.mwi = kept.iter().map(|&i| self.mwi[i]).collect();
+    }
+
+    /// The base matrix with its labels and per-row `MWI_N`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates matrix-construction failures (infinite cells).
+    pub(crate) fn finish(self) -> Result<(FeatureMatrix, Vec<bool>, Vec<f64>), PipelineError> {
+        let names = self.features.iter().map(FeatureId::name).collect();
+        // `with_missing`: missing-coverage fleets (DESIGN.md §11) carry NaN
+        // cells for attributes a vendor batch never reports; on clean fleets
+        // the constructed matrix is bit-identical to the strict constructor's.
+        let matrix = FeatureMatrix::from_columns_with_missing(names, self.columns)
+            .map_err(PipelineError::Stats)?;
+        Ok((matrix, self.labels, self.mwi))
+    }
+}
+
+/// The drive a sample refers to.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::InvalidInput`] when the sample's drive index
+/// lies outside `fleet` (a sample collected from another fleet).
+fn sample_drive<'f>(fleet: &'f Fleet, s: &SampleRef) -> Result<&'f DriveRecord, PipelineError> {
+    let (i, n) = (s.drive_index, fleet.drives().len());
+    fleet.drives().get(i).ok_or_else(|| {
+        PipelineError::invalid(format!(
+            "sample drive index {i} is outside a fleet of {n} drives"
+        ))
+    })
+}
+
 /// Collect labeled samples of `model` within `[from_day, to_day]`.
 ///
 /// # Errors
@@ -61,31 +242,16 @@ pub fn collect_samples(
     to_day: u32,
     config: &SamplingConfig,
 ) -> Result<Vec<SampleRef>, PipelineError> {
-    if config.neg_stride == 0 {
-        return Err(PipelineError::invalid("neg_stride must be at least 1"));
-    }
-    let mut samples: Vec<SampleRef> = Vec::new();
+    let rule = SampleRule::new(model, from_day, to_day, config)?;
+    let mut samples = Vec::new();
     for (drive_index, drive) in fleet.drives().iter().enumerate() {
-        if drive.model != model {
-            continue;
-        }
-        for s in labeled_days(drive, drive_index, from_day, to_day, config.horizon) {
-            if s.label || (s.day - drive.deploy_day) % config.neg_stride == 0 {
-                samples.push(s);
-            }
-        }
+        samples.extend(rule.drive_samples(drive, drive_index));
     }
-    if samples.is_empty() {
-        return Err(PipelineError::invalid(format!(
-            "no samples of model {model} in days {from_day}..={to_day}"
-        )));
-    }
-    if let Some(ratio) = config.downsample_ratio {
-        let labels: Vec<bool> = samples.iter().map(|s| s.label).collect();
-        let kept = downsample_negatives(&labels, ratio, config.seed)?;
-        samples = kept.into_iter().map(|i| samples[i]).collect();
-    }
-    Ok(samples)
+    let labels: Vec<bool> = samples.iter().map(|s| s.label).collect();
+    Ok(match rule.downsample(&labels)? {
+        Some(kept) => kept.into_iter().map(|i| samples[i]).collect(),
+        None => samples,
+    })
 }
 
 /// Build the base-feature matrix (one column per raw/normalized attribute
@@ -94,7 +260,8 @@ pub fn collect_samples(
 /// # Errors
 ///
 /// Returns [`PipelineError::InvalidInput`] for an empty sample list or
-/// samples referencing days a drive is not observed on.
+/// samples referencing drives outside `fleet` or days a drive is not
+/// observed on.
 pub fn base_matrix(
     fleet: &Fleet,
     model: DriveModel,
@@ -103,33 +270,11 @@ pub fn base_matrix(
     if samples.is_empty() {
         return Err(PipelineError::invalid("no samples"));
     }
-    let features = base_features(model);
-    let names: Vec<String> = features.iter().map(FeatureId::name).collect();
-    let mwi_feature = FeatureId::normalized(SmartAttribute::Mwi);
-
-    let mut columns = vec![Vec::with_capacity(samples.len()); features.len()];
-    let mut labels = Vec::with_capacity(samples.len());
-    let mut mwi = Vec::with_capacity(samples.len());
+    let mut rows = BaseRows::new(model, samples.len());
     for s in samples {
-        let drive = &fleet.drives()[s.drive_index];
-        for (col, f) in features.iter().enumerate() {
-            let v = drive.value_on(s.day, *f).ok_or_else(|| {
-                PipelineError::invalid(format!("drive {} lacks {f} on day {}", drive.id, s.day))
-            })?;
-            columns[col].push(v);
-        }
-        labels.push(s.label);
-        let mwi_value = drive.value_on(s.day, mwi_feature).ok_or_else(|| {
-            PipelineError::invalid(format!("drive {} lacks MWI on day {}", drive.id, s.day))
-        })?;
-        mwi.push(mwi_value);
+        rows.push(sample_drive(fleet, s)?, *s)?;
     }
-    // `with_missing`: missing-coverage fleets (DESIGN.md §11) carry NaN
-    // cells for attributes a vendor batch never reports; on clean fleets
-    // the constructed matrix is bit-identical to the strict constructor's.
-    let matrix =
-        FeatureMatrix::from_columns_with_missing(names, columns).map_err(PipelineError::Stats)?;
-    Ok((matrix, labels, mwi))
+    rows.finish()
 }
 
 /// Build the expanded (windowed-statistics) matrix for `samples` over the
@@ -137,7 +282,9 @@ pub fn base_matrix(
 ///
 /// # Errors
 ///
-/// Propagates expansion failures (unobserved days, unreported attributes).
+/// Returns [`PipelineError::InvalidInput`] for samples referencing drives
+/// outside `fleet` and propagates expansion failures (unobserved days,
+/// unreported attributes).
 pub fn expanded_matrix(
     fleet: &Fleet,
     samples: &[SampleRef],
@@ -152,7 +299,7 @@ pub fn expanded_matrix(
     let mut rows = Vec::with_capacity(samples.len());
     let mut labels = Vec::with_capacity(samples.len());
     for s in samples {
-        let drive = &fleet.drives()[s.drive_index];
+        let drive = sample_drive(fleet, s)?;
         rows.push(crate::features::expand_sample(drive, s.day, base)?);
         labels.push(s.label);
     }
@@ -279,6 +426,41 @@ mod tests {
         let (m, labels) = expanded_matrix(&fleet, &samples, &base).unwrap();
         assert_eq!(m.n_features(), 2 * crate::features::EXPANSION_FACTOR);
         assert_eq!(m.n_rows(), labels.len());
+    }
+
+    /// A sample of drive `fleet.drives().len()`: one past the end, as a
+    /// sample collected from a larger fleet refers to.
+    fn foreign_sample(fleet: &Fleet) -> SampleRef {
+        SampleRef {
+            drive_index: fleet.drives().len(),
+            day: 10,
+            label: false,
+        }
+    }
+
+    /// `err` is the out-of-range error naming the index and drive count.
+    fn assert_out_of_range(err: PipelineError, fleet: &Fleet) {
+        let n = fleet.drives().len();
+        let expected = format!("sample drive index {n} is outside a fleet of {n} drives");
+        assert!(
+            matches!(&err, PipelineError::InvalidInput { message } if *message == expected),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn base_matrix_rejects_a_sample_from_another_fleet() {
+        let fleet = fleet();
+        let err = base_matrix(&fleet, DriveModel::Mc1, &[foreign_sample(&fleet)]).unwrap_err();
+        assert_out_of_range(err, &fleet);
+    }
+
+    #[test]
+    fn expanded_matrix_rejects_a_sample_from_another_fleet() {
+        let fleet = fleet();
+        let base = [FeatureId::raw(SmartAttribute::Uce)];
+        let err = expanded_matrix(&fleet, &[foreign_sample(&fleet)], &base).unwrap_err();
+        assert_out_of_range(err, &fleet);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Streaming matrix assembly: drive batches straight into a base feature
 //! matrix, without materialising the whole [`smart_dataset::Fleet`].
 //!
-//! Two sources feed the same fold. [`streaming_base_matrix`] consumes CSV
+//! Two sources feed the matrix. [`streaming_base_matrix`] consumes CSV
 //! shards via [`smart_dataset::ingest::stream_drive_batches`];
 //! [`generated_base_matrix`] consumes the simulator via
 //! [`smart_dataset::gen::stream::stream_fleet_batches`] (DESIGN.md §12).
@@ -10,76 +10,24 @@
 //! immediately afterwards. Peak memory is the matrix under construction
 //! plus the source's bounded batch window, rather than matrix plus fleet.
 //!
-//! The result is bit-identical to materialising the fleet and running
-//! [`crate::matrix::collect_samples`] + [`crate::matrix::base_matrix`]
-//! over it, because batches arrive in fleet drive order and negative
-//! downsampling sees the same full label sequence as the materialised
-//! path: the CSV source downsamples once at the end, and the generated
-//! source — whose whole point is never holding all the columns — collects
-//! the labels in a cheap first streaming pass, computes the kept rows, and
-//! assembles only those in a second, bit-identical regeneration pass.
+//! The sample rule and the row layout live in [`crate::matrix`], beside
+//! [`crate::matrix::collect_samples`] and [`crate::matrix::base_matrix`],
+//! which apply the same two to a materialised fleet; this module keeps
+//! only the source plumbing. The result is bit-identical to the
+//! materialised path because batches arrive in fleet drive order and
+//! negative downsampling sees the same full label sequence: the CSV source
+//! downsamples once at the end, and the generated source — whose whole
+//! point is never holding all the columns — collects the labels in a cheap
+//! first streaming pass, computes the kept rows, and assembles only those
+//! in a second, bit-identical regeneration pass.
 
 use crate::error::PipelineError;
-use crate::label::labeled_days;
-use crate::matrix::{base_features, SamplingConfig};
+use crate::matrix::{BaseRows, SampleRule, SamplingConfig};
 use smart_dataset::gen::stream::{stream_fleet_batches, GenConfig, GenStats};
 use smart_dataset::ingest::{stream_drive_batches, DriveBatch, IngestConfig, IngestStats};
-use smart_dataset::{
-    Census, DriveModel, DriveRecord, DriveSummary, FeatureId, FleetConfig, SmartAttribute,
-    TroubleTicket,
-};
-use smart_stats::sampling::downsample_negatives;
+use smart_dataset::{Census, DriveModel, DriveSummary, FleetConfig, TroubleTicket};
 use smart_stats::FeatureMatrix;
 use std::io::BufRead;
-
-/// Visit the matrix sample days of one drive: `model`-filtered,
-/// window-clipped, stride-thinned — exactly the rows
-/// [`crate::matrix::collect_samples`] would emit for this drive. Shared by
-/// the CSV and generated sources so the two folds cannot drift apart.
-fn fold_drive_samples<E>(
-    drive: &DriveRecord,
-    model: DriveModel,
-    from_day: u32,
-    to_day: u32,
-    sampling: &SamplingConfig,
-    mut visit: impl FnMut(u32, bool) -> Result<(), E>,
-) -> Result<(), E> {
-    if drive.model != model {
-        return Ok(());
-    }
-    // drive_index is irrelevant here — the drive is already in hand, so
-    // samples are folded away instead of referenced.
-    for s in labeled_days(drive, 0, from_day, to_day, sampling.horizon) {
-        if !s.label && (s.day - drive.deploy_day) % sampling.neg_stride != 0 {
-            continue;
-        }
-        visit(s.day, s.label)?;
-    }
-    Ok(())
-}
-
-/// Append one sample row (every base-feature value plus `MWI_N`) to the
-/// growing columns.
-fn push_row(
-    drive: &DriveRecord,
-    day: u32,
-    features: &[FeatureId],
-    mwi_feature: FeatureId,
-    columns: &mut [Vec<f64>],
-    mwi: &mut Vec<f64>,
-) -> Result<(), PipelineError> {
-    for (col, f) in features.iter().enumerate() {
-        let v = drive.value_on(day, *f).ok_or_else(|| {
-            PipelineError::invalid(format!("drive {} lacks {f} on day {}", drive.id, day))
-        })?;
-        columns[col].push(v);
-    }
-    let mwi_value = drive.value_on(day, mwi_feature).ok_or_else(|| {
-        PipelineError::invalid(format!("drive {} lacks MWI on day {}", drive.id, day))
-    })?;
-    mwi.push(mwi_value);
-    Ok(())
-}
 
 /// A base matrix assembled directly from a CSV stream.
 #[derive(Debug, Clone)]
@@ -112,45 +60,22 @@ pub fn streaming_base_matrix<R: BufRead + Send>(
     sampling: &SamplingConfig,
     ingest: &IngestConfig,
 ) -> Result<StreamedMatrix, PipelineError> {
-    if sampling.neg_stride == 0 {
-        return Err(PipelineError::invalid("neg_stride must be at least 1"));
-    }
-    let features = base_features(model);
-    let names: Vec<String> = features.iter().map(FeatureId::name).collect();
-    let mwi_feature = FeatureId::normalized(SmartAttribute::Mwi);
-
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); features.len()];
-    let mut labels: Vec<bool> = Vec::new();
-    let mut mwi: Vec<f64> = Vec::new();
-
+    let rule = SampleRule::new(model, from_day, to_day, sampling)?;
+    let mut rows = BaseRows::new(model, 0);
     let stats = stream_drive_batches(input, tickets, ingest, |batch: DriveBatch| {
         for drive in &batch.drives {
-            fold_drive_samples(drive, model, from_day, to_day, sampling, |day, label| {
-                push_row(drive, day, &features, mwi_feature, &mut columns, &mut mwi)?;
-                labels.push(label);
-                Ok::<(), PipelineError>(())
-            })?;
+            // The drive is in hand, so its fleet index goes unused.
+            for s in rule.drive_samples(drive, 0) {
+                rows.push(drive, s)?;
+            }
         }
         Ok::<(), PipelineError>(())
     })?;
-
-    if labels.is_empty() {
-        return Err(PipelineError::invalid(format!(
-            "no samples of model {model} in days {from_day}..={to_day}"
-        )));
+    // Every label is in, so the window downsamples once, at the end.
+    if let Some(kept) = rule.downsample(rows.labels())? {
+        rows.keep(&kept);
     }
-    if let Some(ratio) = sampling.downsample_ratio {
-        let kept = downsample_negatives(&labels, ratio, sampling.seed)?;
-        for col in &mut columns {
-            *col = kept.iter().map(|&i| col[i]).collect();
-        }
-        labels = kept.iter().map(|&i| labels[i]).collect();
-        mwi = kept.iter().map(|&i| mwi[i]).collect();
-    }
-    // `with_missing`: mirrors `base_matrix` — NaN cells from missing-
-    // coverage fleets flow through; clean fleets build identically.
-    let matrix =
-        FeatureMatrix::from_columns_with_missing(names, columns).map_err(PipelineError::Stats)?;
+    let (matrix, labels, mwi) = rows.finish()?;
     Ok(StreamedMatrix {
         matrix,
         labels,
@@ -185,8 +110,8 @@ pub struct GeneratedMatrix {
 /// be kept, so when [`SamplingConfig::downsample_ratio`] is set the fleet
 /// is streamed *twice*: a label-only pass (a few bytes per sample), then a
 /// regeneration pass that assembles only the kept rows. Determinism makes
-/// the two passes bit-identical; the fold still cross-checks every label
-/// against the first pass and reports an internal error on any mismatch.
+/// the two passes bit-identical; the second pass still cross-checks every
+/// label against the first and reports an internal error on any mismatch.
 ///
 /// The result is bit-identical to materialising the fleet (plus scenario
 /// post-pass) and running the `collect_samples` + `base_matrix` path.
@@ -204,90 +129,61 @@ pub fn generated_base_matrix(
     to_day: u32,
     sampling: &SamplingConfig,
 ) -> Result<GeneratedMatrix, PipelineError> {
-    if sampling.neg_stride == 0 {
-        return Err(PipelineError::invalid("neg_stride must be at least 1"));
-    }
-    let features = base_features(model);
-    let names: Vec<String> = features.iter().map(FeatureId::name).collect();
-    let mwi_feature = FeatureId::normalized(SmartAttribute::Mwi);
+    let rule = SampleRule::new(model, from_day, to_day, sampling)?;
     let internal = || {
         PipelineError::invalid("generation passes disagree: streamed source is nondeterministic")
     };
 
-    // Pass 1 (downsampling only): the label sequence, nothing else.
-    let first_pass = match sampling.downsample_ratio {
-        None => None,
-        Some(ratio) => {
-            let mut first_labels: Vec<bool> = Vec::new();
-            stream_fleet_batches(config, gen, |batch: DriveBatch| {
-                for drive in &batch.drives {
-                    fold_drive_samples(drive, model, from_day, to_day, sampling, |_day, label| {
-                        first_labels.push(label);
-                        Ok::<(), PipelineError>(())
-                    })?;
-                }
-                Ok::<(), PipelineError>(())
-            })?;
-            if first_labels.is_empty() {
-                return Err(PipelineError::invalid(format!(
-                    "no samples of model {model} in days {from_day}..={to_day}"
-                )));
+    // Pass 1 (downsampling only): the label sequence, nothing else, and
+    // from it the kept rows.
+    let first_pass = if sampling.downsample_ratio.is_some() {
+        let mut first_labels: Vec<bool> = Vec::new();
+        stream_fleet_batches(config, gen, |batch: DriveBatch| {
+            for drive in &batch.drives {
+                first_labels.extend(rule.drive_samples(drive, 0).map(|s| s.label));
             }
-            let kept = downsample_negatives(&first_labels, ratio, sampling.seed)?;
-            let mut keep = vec![false; first_labels.len()];
-            for &i in &kept {
-                keep[i] = true;
-            }
-            Some((keep, first_labels))
-        }
+            Ok::<(), PipelineError>(())
+        })?;
+        rule.downsample(&first_labels)?
+            .map(|kept| (kept, first_labels))
+    } else {
+        None
     };
 
     // Pass 2: regenerate (bit-identical by construction), keep only the
     // surviving rows, and measure the population census on the way.
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); features.len()];
-    let mut labels: Vec<bool> = Vec::new();
-    let mut mwi: Vec<f64> = Vec::new();
+    let mut rows = BaseRows::new(model, first_pass.as_ref().map_or(0, |(kept, _)| kept.len()));
     let mut summaries: Vec<DriveSummary> = Vec::with_capacity(config.total_drives() as usize);
     let mut cursor = 0usize;
     let stats = stream_fleet_batches(config, gen, |batch: DriveBatch| {
         for drive in &batch.drives {
             summaries.push(drive.summary());
-            fold_drive_samples(drive, model, from_day, to_day, sampling, |day, label| {
+            for s in rule.drive_samples(drive, 0) {
                 let index = cursor;
                 cursor += 1;
-                if let Some((keep, first_labels)) = &first_pass {
-                    match (keep.get(index), first_labels.get(index)) {
-                        (Some(kept), Some(first)) if *first == label => {
-                            if !kept {
-                                return Ok(());
-                            }
-                        }
-                        _ => return Err(internal()),
+                if let Some((kept, first_labels)) = &first_pass {
+                    if first_labels.get(index) != Some(&s.label) {
+                        return Err(internal());
+                    }
+                    // `kept` ascends, so the next row to keep is the one
+                    // after the rows kept so far.
+                    if kept.get(rows.labels().len()) != Some(&index) {
+                        continue;
                     }
                 }
-                push_row(drive, day, &features, mwi_feature, &mut columns, &mut mwi)?;
-                labels.push(label);
-                Ok::<(), PipelineError>(())
-            })?;
+                rows.push(drive, s)?;
+            }
         }
         Ok::<(), PipelineError>(())
     })?;
     if first_pass
         .as_ref()
-        .is_some_and(|(keep, _)| cursor != keep.len())
+        .is_some_and(|(_, first_labels)| cursor != first_labels.len())
     {
         return Err(internal());
     }
-
-    if labels.is_empty() {
-        return Err(PipelineError::invalid(format!(
-            "no samples of model {model} in days {from_day}..={to_day}"
-        )));
-    }
-    // `with_missing`: mirrors `base_matrix` — NaN cells from missing-
-    // coverage scenarios flow through; clean fleets build identically.
-    let matrix =
-        FeatureMatrix::from_columns_with_missing(names, columns).map_err(PipelineError::Stats)?;
+    rule.require_samples(rows.labels().len())?;
+    let (matrix, labels, mwi) = rows.finish()?;
     Ok(GeneratedMatrix {
         matrix,
         labels,

@@ -19,9 +19,7 @@ pub struct PredictorConfig {
     pub seed: u64,
     /// Worker threads (`None` = available parallelism).
     pub n_threads: Option<usize>,
-    /// Split-search engine. Defaults to the `WEFR_SPLIT_STRATEGY`
-    /// environment override when set, [`SplitStrategy::Histogram`]
-    /// otherwise.
+    /// Split-search engine (default [`SplitStrategy::Histogram`]).
     pub strategy: SplitStrategy,
 }
 
@@ -32,7 +30,7 @@ impl Default for PredictorConfig {
             max_depth: 13,
             seed: 0,
             n_threads: None,
-            strategy: SplitStrategy::from_env().unwrap_or_default(),
+            strategy: SplitStrategy::default(),
         }
     }
 }
@@ -262,6 +260,46 @@ mod tests {
         let sa = a.score_samples(&fleet, &samples[..10]).unwrap();
         let sb = b.score_samples(&fleet, &samples[..10]).unwrap();
         assert_eq!(sa, sb);
+    }
+
+    /// A sample one past the fleet's last drive, as collected from a
+    /// larger fleet.
+    fn foreign_sample(fleet: &Fleet) -> SampleRef {
+        SampleRef {
+            drive_index: fleet.drives().len(),
+            day: 10,
+            label: true,
+        }
+    }
+
+    fn is_out_of_range(err: &PipelineError, fleet: &Fleet) -> bool {
+        let n = fleet.drives().len();
+        let expected = format!("sample drive index {n} is outside a fleet of {n} drives");
+        matches!(err, PipelineError::InvalidInput { message } if *message == expected)
+    }
+
+    #[test]
+    fn train_rejects_a_sample_from_another_fleet() {
+        let fleet = fleet();
+        let mut samples =
+            collect_samples(&fleet, DriveModel::Mc1, 0, 399, &SamplingConfig::default()).unwrap();
+        samples.push(foreign_sample(&fleet));
+        let base = [FeatureId::raw(SmartAttribute::Uce)];
+        let err = FailurePredictor::train(&fleet, &samples, &base, &quick_config()).unwrap_err();
+        assert!(is_out_of_range(&err, &fleet), "{err:?}");
+    }
+
+    #[test]
+    fn score_samples_rejects_a_sample_from_another_fleet() {
+        let fleet = fleet();
+        let samples =
+            collect_samples(&fleet, DriveModel::Mc1, 0, 399, &SamplingConfig::default()).unwrap();
+        let base = [FeatureId::raw(SmartAttribute::Uce)];
+        let predictor = FailurePredictor::train(&fleet, &samples, &base, &quick_config()).unwrap();
+        let err = predictor
+            .score_samples(&fleet, &[foreign_sample(&fleet)])
+            .unwrap_err();
+        assert!(is_out_of_range(&err, &fleet), "{err:?}");
     }
 
     #[test]

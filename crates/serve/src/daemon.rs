@@ -276,7 +276,7 @@ impl Daemon {
                 mwi_per_sample: Some(&mwi),
                 survival: Some(&survival),
             };
-            let selection = Wefr::new(self.config.wefr.clone()).select(&input)?;
+            let selection = Wefr::new(self.config.wefr).select(&input)?;
             let selected: Vec<_> = selection
                 .global
                 .selected

@@ -245,8 +245,8 @@ impl BinnedMatrix {
         let mut scratch = HistScratch::new();
         let hist = scratch.accumulate(self, feature, rows, targets);
         scan_boundaries(
-            &hist.sum,
-            &hist.cnt,
+            hist.sum,
+            hist.cnt,
             &self.uppers[feature],
             rows.len(),
             min_samples_leaf,

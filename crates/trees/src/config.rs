@@ -3,7 +3,7 @@
 use crate::error::TreesError;
 
 /// How a tree searches for the best split of a candidate feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SplitStrategy {
     /// Sort the feature's values at every node and scan every boundary —
     /// O(n log n) per node per feature. The reference engine.
@@ -14,43 +14,8 @@ pub enum SplitStrategy {
     /// across all trees. Identical to `Exact` on features with ≤ 255
     /// distinct values; thresholds quantized to bin edges otherwise.
     /// The default.
+    #[default]
     Histogram,
-}
-
-impl Default for SplitStrategy {
-    fn default() -> Self {
-        SplitStrategy::Histogram
-    }
-}
-
-impl SplitStrategy {
-    /// Parse the `WEFR_SPLIT_STRATEGY` override from an environment lookup
-    /// (`"exact"` or `"histogram"`, case-insensitive). Malformed values
-    /// warn on stderr and are ignored.
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Option<SplitStrategy> {
-        let raw = get("WEFR_SPLIT_STRATEGY")?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "exact" => Some(SplitStrategy::Exact),
-            "histogram" => Some(SplitStrategy::Histogram),
-            other => {
-                // lint:allow(side-effects) documented contract of the
-                // WEFR_SPLIT_STRATEGY knob: malformed values must warn a
-                // human, and telemetry may not be installed yet at startup
-                eprintln!(
-                    "warning: WEFR_SPLIT_STRATEGY={other:?} is not \"exact\" or \
-                     \"histogram\"; ignoring"
-                );
-                None
-            }
-        }
-    }
-
-    /// Parse the `WEFR_SPLIT_STRATEGY` environment override.
-    pub fn from_env() -> Option<SplitStrategy> {
-        // lint:allow(side-effects) this is the one sanctioned env read for
-        // the strategy knob; bins call it once at startup, never mid-run
-        SplitStrategy::from_lookup(|name| std::env::var(name).ok())
-    }
 }
 
 /// How many candidate features a tree node considers when searching splits.
@@ -136,21 +101,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_strategy_from_lookup() {
-        assert_eq!(
-            SplitStrategy::from_lookup(|_| Some("exact".into())),
-            Some(SplitStrategy::Exact)
-        );
-        assert_eq!(
-            SplitStrategy::from_lookup(|_| Some(" Histogram ".into())),
-            Some(SplitStrategy::Histogram)
-        );
-        assert_eq!(SplitStrategy::from_lookup(|_| None), None);
-        // Malformed values warn and are ignored rather than panicking.
-        assert_eq!(SplitStrategy::from_lookup(|_| Some("fast".into())), None);
-    }
-
-    #[test]
     fn resolve_all_and_count() {
         assert_eq!(MaxFeatures::All.resolve(40), 40);
         assert_eq!(MaxFeatures::Count(7).resolve(40), 7);
@@ -180,14 +130,21 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate() {
-        let mut c = TreeConfig::default();
-        c.min_samples_split = 1;
-        assert!(c.validate().is_err());
-        let mut c = TreeConfig::default();
-        c.min_samples_leaf = 0;
-        assert!(c.validate().is_err());
-        let mut c = TreeConfig::default();
-        c.max_features = MaxFeatures::Count(0);
-        assert!(c.validate().is_err());
+        for c in [
+            TreeConfig {
+                min_samples_split: 1,
+                ..TreeConfig::default()
+            },
+            TreeConfig {
+                min_samples_leaf: 0,
+                ..TreeConfig::default()
+            },
+            TreeConfig {
+                max_features: MaxFeatures::Count(0),
+                ..TreeConfig::default()
+            },
+        ] {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: format, hermetic offline build, tests, docs, a hard check that
-# the dependency graph contains zero registry crates (DESIGN.md §5), the
-# model checker, the smart-lint static-analysis sweep (DESIGN.md §9), the
-# three release-mode timing gates, and a check that results/ is untouched.
+# CI gate: format, hermetic offline build, clippy, tests, docs, a hard
+# check that the dependency graph contains zero registry crates (DESIGN.md
+# §5), the model checker, the smart-lint static-analysis sweep (DESIGN.md
+# §9), the three release-mode timing gates, and a check that results/ is
+# untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,9 @@ cargo fmt --all -- --check
 
 step "cargo build --release --offline (all targets)"
 cargo build --release --offline --workspace --all-targets
+
+step "cargo clippy: every target, warnings are errors"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 step "cargo test -q --offline"
 cargo test -q --offline --workspace
