@@ -14,5 +14,6 @@ pub use scenario::{
     MissingCoverage, ReplacementChurn, ScenarioConfig,
 };
 pub use stream::{
-    generate_drive_range, generate_fleet_streamed, stream_fleet_batches, GenConfig, GenStats,
+    generate_drive_range, generate_fleet_streamed, stream_fleet_batches, stream_model_batches,
+    GenConfig, GenStats,
 };

@@ -25,6 +25,13 @@
 //! matching the whole-fleet [`crate::gen::scenario::apply_scenario`] bit
 //! for bit (replacement batches trail the original population, exactly
 //! where `apply_scenario` appends them).
+//!
+//! Models take contiguous id ranges, so one model's drives are one range:
+//! [`stream_model_batches`] runs the same scheduler, workers and merge
+//! over that range alone. `generated_base_matrix`'s label-only first pass
+//! uses it to skip simulating the other models. That pass reads labels,
+//! never ids, and must not: a replacement's id in the one-model stream is
+//! not its whole-fleet id.
 
 use crate::config::FleetConfig;
 use crate::error::DatasetError;
@@ -34,6 +41,7 @@ use crate::gen::{plan_drive, simulate_drive};
 use crate::ingest::{DriveBatch, SkipCounts};
 use crate::model::DriveModel;
 use crate::records::{DriveId, DriveRecord};
+use std::ops::Range;
 
 /// Tuning for the streaming generator. The sizing knobs trade memory and
 /// parallelism for latency only — the generated fleet is bit-identical for
@@ -200,6 +208,62 @@ where
 pub fn stream_fleet_batches<E, F>(
     config: &FleetConfig,
     gen: &GenConfig,
+    consume: F,
+) -> Result<GenStats, E>
+where
+    E: From<DatasetError>,
+    F: FnMut(DriveBatch) -> Result<(), E>,
+{
+    stream_id_range(config, gen, 0..config.total_drives(), consume)
+}
+
+/// Stream only the drives of `model` in the fleet `config` describes: the
+/// model's contiguous id range (models take ids in [`DriveModel::ALL`]
+/// order) and, under a churn scenario, the replacements of its own
+/// victims, in victim order, after them. The sequence is exactly the
+/// `model` subsequence of [`stream_fleet_batches`], on the same chunk
+/// scheduler, workers and merge.
+///
+/// Every record is bit-identical to its drive in the whole-fleet stream
+/// except a replacement's id. Replacements are numbered past the fleet's
+/// densest original id counting only this model's victims, while the
+/// whole-fleet stream numbers every model's victims in one sequence, so
+/// the ids differ wherever an earlier model lost a drive. Read nothing
+/// from a replacement's id here.
+///
+/// # Errors
+///
+/// Exactly the errors of [`stream_fleet_batches`].
+pub fn stream_model_batches<E, F>(
+    config: &FleetConfig,
+    gen: &GenConfig,
+    model: DriveModel,
+    consume: F,
+) -> Result<GenStats, E>
+where
+    E: From<DatasetError>,
+    F: FnMut(DriveBatch) -> Result<(), E>,
+{
+    let first = DriveModel::ALL
+        .iter()
+        .take_while(|&&m| m != model)
+        .map(|&m| config.drives_for(m))
+        .sum::<u32>();
+    stream_id_range(
+        config,
+        gen,
+        first..first + config.drives_for(model),
+        consume,
+    )
+}
+
+/// The generator pipeline over the contiguous original ids `ids`, then the
+/// churn replacements of their victims, numbered from
+/// `config.total_drives()` in victim order.
+fn stream_id_range<E, F>(
+    config: &FleetConfig,
+    gen: &GenConfig,
+    ids: Range<u32>,
     mut consume: F,
 ) -> Result<GenStats, E>
 where
@@ -229,8 +293,8 @@ where
         gen.max_queued_chunks,
         gen_queue_depth,
         |push| {
-            for start in (0..total).step_by(chunk_drives) {
-                if !push((start, chunk_drives.min((total - start) as usize) as u32)) {
+            for start in ids.clone().step_by(chunk_drives) {
+                if !push((start, chunk_drives.min((ids.end - start) as usize) as u32)) {
                     break; // aborted by the merge step
                 }
             }
@@ -408,6 +472,54 @@ mod tests {
         };
         assert_eq!(csv(&streamed), csv(&reference));
         assert_eq!(streamed.summaries(), reference.summaries());
+    }
+
+    #[test]
+    fn model_stream_is_the_model_subsequence_of_the_fleet_stream() {
+        let config = mixed_vendor_config(150, 3).unwrap();
+        let gen = GenConfig {
+            chunk_drives: 4,
+            workers: 3,
+            max_queued_chunks: 2,
+            scenario: Some(ScenarioConfig {
+                seed: 9,
+                churn: Some(crate::gen::scenario::ReplacementChurn {
+                    day: 75,
+                    fraction: 0.3,
+                }),
+                ..ScenarioConfig::default()
+            }),
+        };
+        let fleet = generate_fleet_streamed(&config, &gen).unwrap();
+        let total = config.total_drives();
+        let mut renumbered = 0;
+        for model in DriveModel::ALL {
+            let mut streamed = Vec::new();
+            stream_model_batches(&config, &gen, model, |batch: DriveBatch| {
+                streamed.extend(batch.drives);
+                Ok::<(), DatasetError>(())
+            })
+            .unwrap();
+            let expected: Vec<&DriveRecord> =
+                fleet.drives().iter().filter(|d| d.model == model).collect();
+            assert_eq!(streamed.len(), expected.len(), "{model}");
+            // Replacements are numbered past the fleet among this model's
+            // victims alone; everything else is the whole-fleet record.
+            let mut next_replacement = total;
+            for (got, want) in streamed.iter().zip(expected) {
+                let mut want = want.clone();
+                if want.id.0 >= total {
+                    renumbered += usize::from(want.id.0 != next_replacement);
+                    want.id = DriveId(next_replacement);
+                    next_replacement += 1;
+                }
+                assert_eq!(got, &want, "{model}");
+            }
+        }
+        assert!(
+            renumbered > 0,
+            "no replacement id differs between the streams"
+        );
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub use gen::scenario::{
     MissingCoverage, ReplacementChurn, ScenarioConfig,
 };
 pub use gen::stream::{
-    generate_drive_range, generate_fleet_streamed, stream_fleet_batches, GenConfig, GenStats,
+    generate_drive_range, generate_fleet_streamed, stream_fleet_batches, stream_model_batches,
+    GenConfig, GenStats,
 };
 pub use ingest::{
     import_smart_csv_sharded, import_smart_csv_sharded_with_stats, stream_drive_batches,

@@ -155,19 +155,33 @@ fn per_batch_scenario_matches_whole_fleet_post_pass_at_every_setting() {
     // The MA1 base matrix over the scenario fleet carries the blanked UCE
     // cells as NaN; the streamed matrix must carry them bit for bit. No
     // downsampling, so a window without an MA1 failure keeps its rows.
-    let sampling = SamplingConfig {
+    // MC1 (ids 22–41, after MA1's and MB2's, whose churn victims take
+    // replacement ids first) downsamples, so its label pass streams MC1
+    // alone under the scenario and must still pick the whole-fleet rows.
+    let last_day = config.days() - 1;
+    let no_downsampling = SamplingConfig {
         downsample_ratio: None,
         ..SamplingConfig::default()
     };
-    let last_day = config.days() - 1;
-    let samples =
-        collect_samples(&reference, DriveModel::Ma1, 0, last_day, &sampling).expect("MA1 samples");
-    let (matrix, labels, mwi) =
-        base_matrix(&reference, DriveModel::Ma1, &samples).expect("reference matrix");
+    let cases = [
+        (DriveModel::Ma1, no_downsampling),
+        (DriveModel::Mc1, SamplingConfig::default()),
+    ];
+    let references = cases.map(|(model, sampling)| {
+        let samples =
+            collect_samples(&reference, model, 0, last_day, &sampling).expect("reference samples");
+        base_matrix(&reference, model, &samples).expect("reference matrix")
+    });
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let (ma1_matrix, _, _) = &references[0];
     assert!(
-        (0..matrix.n_features()).any(|c| matrix.column(c).iter().any(|v| v.is_nan())),
+        (0..ma1_matrix.n_features()).any(|c| ma1_matrix.column(c).iter().any(|v| v.is_nan())),
         "the MA1 reference matrix has no NaN cell to compare"
+    );
+    let (_, mc1_labels, _) = &references[1];
+    assert!(
+        mc1_labels.contains(&true),
+        "the MC1 reference has no positive sample to downsample around"
     );
     for workers in WORKER_MATRIX {
         for chunk_drives in [3, 17, 10_000] {
@@ -183,20 +197,21 @@ fn per_batch_scenario_matches_whole_fleet_post_pass_at_every_setting() {
             );
             assert_eq!(streamed.summaries(), reference.summaries());
 
-            let generated =
-                generated_base_matrix(&config, &gen, DriveModel::Ma1, 0, last_day, &sampling)
-                    .expect("streamed MA1 matrix");
-            let tag = format!("workers={workers} chunk_drives={chunk_drives}");
-            assert_eq!(generated.labels, labels, "{tag}");
-            assert_eq!(bits(&generated.mwi), bits(&mwi), "{tag}");
-            assert_eq!(generated.matrix.feature_names(), matrix.feature_names());
-            for c in 0..matrix.n_features() {
-                assert_eq!(
-                    bits(generated.matrix.column(c)),
-                    bits(matrix.column(c)),
-                    "{tag} column {}",
-                    matrix.feature_names()[c]
-                );
+            for ((model, sampling), (matrix, labels, mwi)) in cases.iter().zip(&references) {
+                let generated = generated_base_matrix(&config, &gen, *model, 0, last_day, sampling)
+                    .expect("streamed matrix");
+                let tag = format!("{model} workers={workers} chunk_drives={chunk_drives}");
+                assert_eq!(&generated.labels, labels, "{tag}");
+                assert_eq!(bits(&generated.mwi), bits(mwi), "{tag}");
+                assert_eq!(generated.matrix.feature_names(), matrix.feature_names());
+                for c in 0..matrix.n_features() {
+                    assert_eq!(
+                        bits(generated.matrix.column(c)),
+                        bits(matrix.column(c)),
+                        "{tag} column {}",
+                        matrix.feature_names()[c]
+                    );
+                }
             }
         }
     }

@@ -18,12 +18,13 @@
 //! negative downsampling sees the same full label sequence: the CSV source
 //! downsamples once at the end, and the generated source — whose whole
 //! point is never holding all the columns — collects the labels in a cheap
-//! first streaming pass, computes the kept rows, and assembles only those
-//! in a second, bit-identical regeneration pass.
+//! first streaming pass over the matrix model's drives alone, computes the
+//! kept rows, and assembles only those in a second, bit-identical
+//! regeneration pass over the whole fleet.
 
 use crate::error::PipelineError;
 use crate::matrix::{BaseRows, SampleRule, SamplingConfig};
-use smart_dataset::gen::stream::{stream_fleet_batches, GenConfig, GenStats};
+use smart_dataset::gen::stream::{stream_fleet_batches, stream_model_batches, GenConfig, GenStats};
 use smart_dataset::ingest::{stream_drive_batches, DriveBatch, IngestConfig, IngestStats};
 use smart_dataset::{Census, DriveModel, DriveSummary, FleetConfig, TroubleTicket};
 use smart_stats::FeatureMatrix;
@@ -107,11 +108,13 @@ pub struct GeneratedMatrix {
 /// pipeline, never materialising the fleet.
 ///
 /// Negative downsampling needs the full label sequence before any row can
-/// be kept, so when [`SamplingConfig::downsample_ratio`] is set the fleet
-/// is streamed *twice*: a label-only pass (a few bytes per sample), then a
-/// regeneration pass that assembles only the kept rows. Determinism makes
-/// the two passes bit-identical; the second pass still cross-checks every
-/// label against the first and reports an internal error on any mismatch.
+/// be kept, so when [`SamplingConfig::downsample_ratio`] is set the stream
+/// runs *twice*: a label-only pass (a few bytes per sample) that generates
+/// only `model`'s drives, through [`stream_model_batches`], then a
+/// regeneration pass over the whole fleet that assembles only the kept
+/// rows and measures the census. Determinism makes the two passes agree
+/// bit for bit; the second pass still cross-checks every label against
+/// the first and reports an internal error on any mismatch.
 ///
 /// The result is bit-identical to materialising the fleet (plus scenario
 /// post-pass) and running the `collect_samples` + `base_matrix` path.
@@ -135,10 +138,12 @@ pub fn generated_base_matrix(
     };
 
     // Pass 1 (downsampling only): the label sequence, nothing else, and
-    // from it the kept rows.
+    // from it the kept rows. Only `model`'s drives carry samples, so only
+    // they are generated; the pass reads no drive id, the one thing the
+    // one-model stream numbers differently.
     let first_pass = if sampling.downsample_ratio.is_some() {
         let mut first_labels: Vec<bool> = Vec::new();
-        stream_fleet_batches(config, gen, |batch: DriveBatch| {
+        stream_model_batches(config, gen, model, |batch: DriveBatch| {
             for drive in &batch.drives {
                 first_labels.extend(rule.drive_samples(drive, 0).map(|s| s.label));
             }

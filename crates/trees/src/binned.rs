@@ -24,11 +24,16 @@
 //!
 //! **Missing values** (NaN cells, from missing-attribute fleets — DESIGN.md
 //! §11): each feature with missing cells gets one *reserved NaN bin* with
-//! code `uppers.len()`, past every finite bin. The boundary scan evaluates
-//! every finite boundary twice — missing rows routed left, missing rows
-//! routed right — and keeps whichever side gains more ("missing goes to the
-//! gain-better side"), ties resolving to left. Features without missing
-//! cells take exactly the pre-NaN code path, bit for bit.
+//! code `uppers.len()`, past every finite bin. For such a feature the
+//! boundary scan evaluates every finite boundary twice — missing rows
+//! routed left, missing rows routed right — and keeps whichever side gains
+//! more ("missing goes to the gain-better side"), ties resolving to left.
+//! A feature without a missing bin has one candidate per boundary.
+//!
+//! **Repeated rows** (a bootstrap draws some rows several times): the
+//! histograms take each distinct row once, weighted by its multiplicity —
+//! sums add `w·t`, counts add `w` — so a row drawn `w` times counts
+//! exactly as its `w` copies would (DESIGN.md §8).
 
 use crate::error::TreesError;
 use crate::split::Split;
@@ -224,7 +229,8 @@ impl BinnedMatrix {
     }
 
     /// Histogram best split of one feature over `rows` — the O(n) + O(bins)
-    /// counterpart of [`best_split`](crate::split::best_split).
+    /// counterpart of [`best_split`](crate::split::best_split). A row listed
+    /// `w` times counts `w` times.
     ///
     /// Equivalent to running the exact search on the quantized column: on a
     /// losslessly binned feature ([`is_exact`](Self::is_exact)) the result
@@ -242,8 +248,9 @@ impl BinnedMatrix {
         targets: &[f64],
         min_samples_leaf: usize,
     ) -> Option<Split> {
+        let (distinct, weights) = fold_rows(rows, self.n_rows);
         let mut scratch = HistScratch::new();
-        let hist = scratch.accumulate(self, feature, rows, targets);
+        let hist = scratch.accumulate(self, feature, &distinct, targets, &weights);
         scan_boundaries(
             hist.sum,
             hist.cnt,
@@ -344,7 +351,8 @@ impl HistScratch {
         }
     }
 
-    /// Accumulate per-bin target sums/counts of `feature` over `rows`.
+    /// Accumulate per-bin weighted target sums and counts of `feature`
+    /// over `rows` (see [`accumulate_into`]).
     ///
     /// The scratch is zeroed up to the feature's bin count on entry, so it
     /// can be reused across features and nodes without re-allocation.
@@ -354,31 +362,64 @@ impl HistScratch {
         feature: usize,
         rows: &[usize],
         targets: &[f64],
+        weights: &[u32],
     ) -> Histogram<'a> {
         let n_bins = binned.n_bins(feature);
-        self.sum[..n_bins].fill(0.0);
-        self.cnt[..n_bins].fill(0);
-        let codes = binned.codes(feature);
-        for &r in rows {
-            let b = codes[r] as usize;
-            self.sum[b] += targets[r];
-            self.cnt[b] += 1;
-        }
-        Histogram {
-            sum: &self.sum[..n_bins],
-            cnt: &self.cnt[..n_bins],
-        }
+        let (sum, cnt) = (&mut self.sum[..n_bins], &mut self.cnt[..n_bins]);
+        sum.fill(0.0);
+        cnt.fill(0);
+        accumulate_into(sum, cnt, binned.codes(feature), rows, targets, weights);
+        Histogram { sum, cnt }
     }
+}
+
+/// Add each row of `rows` to its bin (`codes[row]`): `weights[row] ·
+/// targets[row]` to the sum, `weights[row]` to the count. A weight of 1
+/// adds the target itself (`1.0 · t == t`), in row order.
+pub(crate) fn accumulate_into(
+    sum: &mut [f64],
+    cnt: &mut [u32],
+    codes: &[u8],
+    rows: &[usize],
+    targets: &[f64],
+    weights: &[u32],
+) {
+    for &r in rows {
+        let (b, w) = (usize::from(codes[r]), weights[r]);
+        sum[b] += f64::from(w) * targets[r];
+        cnt[b] += w;
+    }
+}
+
+/// Fold repeated entries of `rows` (row ids below `n_rows`) into one each:
+/// the distinct rows in first-occurrence order, and every row id's
+/// multiplicity (`weights[row]`, 0 for rows not listed).
+///
+/// # Panics
+///
+/// Panics if a row id is `n_rows` or more.
+pub(crate) fn fold_rows(rows: &[usize], n_rows: usize) -> (Vec<usize>, Vec<u32>) {
+    let mut weights = vec![0u32; n_rows];
+    let mut distinct = Vec::with_capacity(rows.len());
+    for &r in rows {
+        if weights[r] == 0 {
+            distinct.push(r);
+        }
+        weights[r] += 1;
+    }
+    (distinct, weights)
 }
 
 /// Scan the bin boundaries of one histogram for the best variance-reduction
 /// split. Returns the split and the boundary bin index (rows with
 /// `code <= bin` go left, missing rows go to the split's `nan_left` side).
+/// `n` and `cnt` are weighted counts: a row drawn `w` times counts `w`.
 ///
 /// When `sum`/`cnt` carry one slot past `uppers.len()`, that slot is the
 /// feature's reserved NaN bin: every finite boundary is then evaluated with
 /// the missing rows on the left *and* on the right, and the better-gaining
-/// variant wins (ties go left). Without missing rows the scan mirrors the
+/// variant wins (ties go left). Without a NaN bin the two variants are one
+/// candidate (`nan_left` set), scored once, and the scan mirrors the
 /// exact engine's exactly: boundaries in ascending value order, only after
 /// non-empty bins (the histogram analogue of "can't split between equal
 /// values"), under the same `min_samples_leaf` and strictly-greater gain
@@ -393,7 +434,8 @@ pub(crate) fn scan_boundaries(
     if n < 2 * min_samples_leaf || sum.len() < 2 {
         return None;
     }
-    let (nan_sum, nan_cnt) = if sum.len() > uppers.len() {
+    let missing_bin = sum.len() > uppers.len();
+    let (nan_sum, nan_cnt) = if missing_bin {
         (sum[uppers.len()], cnt[uppers.len()] as usize)
     } else {
         (0.0, 0)
@@ -410,6 +452,23 @@ pub(crate) fn scan_boundaries(
         uppers.len().saturating_sub(1)
     };
     let mut best: Option<(Split, usize)> = None;
+    let mut consider = |b: usize, nl: usize, sl: f64, nan_left: bool| {
+        if nl < min_samples_leaf || n - nl < min_samples_leaf {
+            return;
+        }
+        let sr = total_sum - sl;
+        let gain = sl * sl / nl as f64 + sr * sr / (n - nl) as f64 - base;
+        if gain > best.as_ref().map_or(1e-12, |(s, _)| s.gain) {
+            let threshold = uppers[b];
+            let split = Split {
+                threshold,
+                gain,
+                n_left: nl,
+                nan_left,
+            };
+            best = Some((split, b));
+        }
+    };
     let mut left_sum = 0.0;
     let mut left_cnt = 0usize;
     for b in 0..last_boundary {
@@ -418,30 +477,18 @@ pub(crate) fn scan_boundaries(
         if cnt[b] == 0 {
             continue;
         }
-        // Missing-left first: on equal gains the strictly-greater rule
-        // keeps the first variant, so ties route missing rows left — and
-        // with no missing rows both variants are identical, making this
-        // loop bit-for-bit the pre-NaN scan.
-        for (nl, sl, nan_left) in [
-            (left_cnt + nan_cnt, left_sum + nan_sum, true),
-            (left_cnt, left_sum, false),
-        ] {
-            if nl < min_samples_leaf || n - nl < min_samples_leaf {
-                continue;
-            }
-            let sr = total_sum - sl;
-            let gain = sl * sl / nl as f64 + sr * sr / (n - nl) as f64 - base;
-            if gain > best.as_ref().map_or(1e-12, |(s, _)| s.gain) {
-                best = Some((
-                    Split {
-                        threshold: uppers[b],
-                        gain,
-                        n_left: nl,
-                        nan_left,
-                    },
-                    b,
-                ));
-            }
+        if missing_bin {
+            // Missing-left first: on equal gains the strictly-greater rule
+            // keeps the first variant, so ties route missing rows left. The
+            // test is the bin, not `nan_cnt > 0`: a bin derived by sibling
+            // subtraction can hold a rounding residue with no rows in it,
+            // and then the two variants differ.
+            consider(b, left_cnt + nan_cnt, left_sum + nan_sum, true);
+            consider(b, left_cnt, left_sum, false);
+        } else {
+            // Without a missing bin both variants are this candidate, and
+            // the missing-left one always won the tie.
+            consider(b, left_cnt, left_sum, true);
         }
         if left_cnt == n - nan_cnt {
             break;
@@ -599,6 +646,21 @@ mod tests {
         let b = BinnedMatrix::from_matrix(&m).unwrap();
         let s = b.best_split(0, &[0, 1, 2, 3, 4, 5], &targets, 1).unwrap();
         assert!(s.nan_left);
+    }
+
+    #[test]
+    fn residue_in_an_empty_missing_bin_still_scores_both_routings() {
+        // Sibling subtraction can leave a rounding residue in a missing bin
+        // that holds no rows. Both routings are still scored there, and
+        // this residue makes routing it right gain more.
+        let residue = 2f64.powi(-40);
+        let sum = [0.0, 3.0, residue];
+        let (split, bin) = scan_boundaries(&sum, &[3, 3, 0], &[1.0, 2.0], 6, 1).unwrap();
+        assert_eq!(bin, 0);
+        assert!(!split.nan_left);
+        // Without a missing bin the one candidate routes missing rows left.
+        let (split, _) = scan_boundaries(&[0.0, 3.0], &[3, 3], &[1.0, 2.0], 6, 1).unwrap();
+        assert!(split.nan_left);
     }
 
     #[test]

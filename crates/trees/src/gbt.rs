@@ -111,6 +111,8 @@ impl GradientBoosting {
             SplitStrategy::Histogram => Some(BinnedMatrix::from_matrix(data)?),
             SplitStrategy::Exact => None,
         };
+        let all_rows: Vec<usize> = (0..n).collect();
+        let mut leaves = vec![UNROUTED; n];
 
         for round in 0..config.n_rounds {
             let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, round as u64));
@@ -118,26 +120,41 @@ impl GradientBoosting {
             let probs: Vec<f64> = scores.iter().map(|&s| sigmoid(s)).collect();
             let residuals: Vec<f64> = y.iter().zip(&probs).map(|(y, p)| y - p).collect();
 
-            let rows: Vec<usize> = if config.subsample < 1.0 {
+            let drawn;
+            let rows: &[usize] = if config.subsample < 1.0 {
                 let k = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
-                sample_without_replacement(&mut rng, n, k)?
+                drawn = sample_without_replacement(&mut rng, n, k)?;
+                &drawn
             } else {
-                (0..n).collect()
+                &all_rows
             };
 
-            let mut tree = match &binned {
-                Some(b) => RegressionTree::fit_binned(b, &residuals, &rows, &config.tree, &mut rng),
-                None => RegressionTree::fit(data, &residuals, &rows, &config.tree, &mut rng),
-            }?;
-
             // Every row's leaf, found once: relabeling only rewrites leaf
-            // values, never the routing.
-            let leaves: Vec<usize> = (0..n).map(|r| tree.apply(data, r)).collect();
+            // values, never the routing. The binned fit files each row it
+            // trains on; the rest (outside a subsample draw, or every row
+            // under the exact engine) are routed through the tree.
+            leaves.fill(UNROUTED);
+            let mut tree = match &binned {
+                Some(b) => RegressionTree::fit_binned_with_leaves(
+                    b,
+                    &residuals,
+                    rows,
+                    &config.tree,
+                    &mut rng,
+                    Some(&mut leaves),
+                ),
+                None => RegressionTree::fit(data, &residuals, rows, &config.tree, &mut rng),
+            }?;
+            for (r, leaf) in leaves.iter_mut().enumerate() {
+                if *leaf == UNROUTED {
+                    *leaf = tree.apply(data, r);
+                }
+            }
 
             // Newton re-labeling: leaf value = Σ(y-p) / Σ p(1-p).
             let mut grad_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
             let mut hess_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
-            for &r in &rows {
+            for &r in rows {
                 grad_sum[leaves[r]] += residuals[r];
                 hess_sum[leaves[r]] += probs[r] * (1.0 - probs[r]);
             }
@@ -220,6 +237,9 @@ impl GradientBoosting {
         self.n_features
     }
 }
+
+/// A `leaves` entry no fit has filed yet: never a node index.
+const UNROUTED: usize = usize::MAX;
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())

@@ -5,7 +5,7 @@
 //! Random Forest); trained on gradients it is a boosting stage whose leaf
 //! values the booster re-labels with Newton steps.
 
-use crate::binned::{scan_boundaries, BinnedMatrix, HistScratch};
+use crate::binned::{accumulate_into, fold_rows, scan_boundaries, BinnedMatrix, HistScratch};
 use crate::config::TreeConfig;
 use crate::error::TreesError;
 use crate::split::{best_split, Split};
@@ -42,13 +42,15 @@ pub struct RegressionTree {
 
 impl RegressionTree {
     /// Fit a tree on the rows `rows` of `data` against `targets` (indexed by
-    /// row id, so `targets.len() == data.n_rows()`).
+    /// row id, so `targets.len() == data.n_rows()`). A row may be listed
+    /// more than once (a bootstrap draw); each copy counts.
     ///
     /// # Errors
     ///
     /// Returns [`TreesError::EmptyTraining`] when `rows` is empty,
     /// [`TreesError::LengthMismatch`] when targets don't cover the matrix,
-    /// and [`TreesError::InvalidParameter`] from config validation.
+    /// and [`TreesError::InvalidParameter`] from config validation or for
+    /// a row index at or past the matrix height.
     pub fn fit<R: Rng + ?Sized>(
         data: &FeatureMatrix,
         targets: &[f64],
@@ -56,16 +58,7 @@ impl RegressionTree {
         config: &TreeConfig,
         rng: &mut R,
     ) -> Result<Self, TreesError> {
-        config.validate()?;
-        if rows.is_empty() {
-            return Err(TreesError::EmptyTraining);
-        }
-        if targets.len() != data.n_rows() {
-            return Err(TreesError::LengthMismatch {
-                features: data.n_rows(),
-                targets: targets.len(),
-            });
-        }
+        check_fit(config, targets, rows, data.n_rows())?;
         let mut tree = RegressionTree {
             nodes: Vec::new(),
             n_features: data.n_features(),
@@ -82,7 +75,9 @@ impl RegressionTree {
     ///
     /// Split thresholds are bin-upper values, so the trained tree predicts
     /// on ordinary [`FeatureMatrix`] inputs exactly like an exact-trained
-    /// tree. When the candidate set covers every feature
+    /// tree. A row listed `w` times is visited once and weighs `w` in every
+    /// sum, count and size rule, so the tree equals the one grown from the
+    /// `w` copies. When the candidate set covers every feature
     /// ([`MaxFeatures::All`](crate::MaxFeatures::All), as gradient boosting
     /// uses), child histograms are derived from the parent's by the
     /// subtraction trick: only the smaller child is re-accumulated, the
@@ -100,31 +95,45 @@ impl RegressionTree {
         config: &TreeConfig,
         rng: &mut R,
     ) -> Result<Self, TreesError> {
-        config.validate()?;
-        if rows.is_empty() {
-            return Err(TreesError::EmptyTraining);
-        }
-        if targets.len() != binned.n_rows() {
-            return Err(TreesError::LengthMismatch {
-                features: binned.n_rows(),
-                targets: targets.len(),
-            });
-        }
+        RegressionTree::fit_binned_with_leaves(binned, targets, rows, config, rng, None)
+    }
+
+    /// [`Self::fit_binned`] that, given `leaves` (indexed by row id,
+    /// `binned.n_rows()` long), also files every fitted row under its leaf:
+    /// `leaves[row]` becomes the leaf index [`Self::apply`] would return
+    /// for each row of `rows`; the other entries are left as they were.
+    pub(crate) fn fit_binned_with_leaves<R: Rng + ?Sized>(
+        binned: &BinnedMatrix,
+        targets: &[f64],
+        rows: &[usize],
+        config: &TreeConfig,
+        rng: &mut R,
+        leaves: Option<&mut [usize]>,
+    ) -> Result<Self, TreesError> {
+        check_fit(config, targets, rows, binned.n_rows())?;
         let mut tree = RegressionTree {
             nodes: Vec::new(),
             n_features: binned.n_features(),
             gain_by_feature: vec![0.0; binned.n_features()],
             splits_by_feature: vec![0; binned.n_features()],
         };
+        let (mut rows, weights) = fold_rows(rows, binned.n_rows());
+        let mut hist_offsets = Vec::with_capacity(binned.n_features() + 1);
+        hist_offsets.push(0);
+        for f in 0..binned.n_features() {
+            hist_offsets.push(hist_offsets[f] + binned.n_bins(f));
+        }
         let mut ctx = BinnedCtx {
             binned,
             targets,
+            weights: &weights,
             config,
+            hist_offsets,
             scratch: HistScratch::new(),
             part_buf: Vec::with_capacity(rows.len()),
             hists_built: 0,
+            leaves,
         };
-        let mut rows = rows.to_vec();
         tree.build_binned(&mut ctx, &mut rows, 0, None, rng)?;
         telemetry::counter_add("trees.histograms_built", ctx.hists_built);
         Ok(tree)
@@ -200,8 +209,9 @@ impl RegressionTree {
         Ok(node_idx)
     }
 
-    /// Recursively build the subtree for `rows` from per-bin histograms;
-    /// returns the node index.
+    /// Recursively build the subtree for `rows` (distinct row ids, each
+    /// weighing `ctx.weights[row]`) from per-bin histograms; returns the
+    /// node index.
     ///
     /// Mirrors [`Self::build`] decision for decision (leaf conditions,
     /// candidate sampling, tie-breaking), so on data where every feature
@@ -215,12 +225,18 @@ impl RegressionTree {
         inherited: Option<NodeHists>,
         rng: &mut R,
     ) -> Result<usize, TreesError> {
-        let n = rows.len();
-        let mean = rows.iter().map(|&r| ctx.targets[r]).sum::<f64>() / n as f64;
-        let constant = rows.iter().all(|&r| (ctx.targets[r] - mean).abs() < 1e-12);
+        let (targets, weights) = (ctx.targets, ctx.weights);
+        // Node size and sums count a row once per copy drawn.
+        let n = weighted_len(rows, weights);
+        let mean = rows
+            .iter()
+            .map(|&r| f64::from(weights[r]) * targets[r])
+            .sum::<f64>()
+            / n as f64;
+        let constant = rows.iter().all(|&r| (targets[r] - mean).abs() < 1e-12);
 
         if depth >= ctx.config.max_depth || n < ctx.config.min_samples_split || constant {
-            return Ok(self.push_leaf(mean, n));
+            return Ok(self.push_binned_leaf(ctx, rows, mean, n));
         }
 
         let f_total = ctx.binned.n_features();
@@ -244,12 +260,12 @@ impl RegressionTree {
         if full_set {
             let hists = inherited.unwrap_or_else(|| ctx.build_all_hists(rows));
             for &feature in &candidates {
-                let h = &hists.per_feature[feature];
+                let (sum, cnt) = hists.feature(&ctx.hist_offsets, feature);
                 consider(
                     feature,
                     scan_boundaries(
-                        &h.0,
-                        &h.1,
+                        sum,
+                        cnt,
                         ctx.binned.bin_uppers(feature),
                         n,
                         ctx.config.min_samples_leaf,
@@ -262,7 +278,7 @@ impl RegressionTree {
                 ctx.hists_built += 1;
                 let hist = ctx
                     .scratch
-                    .accumulate(ctx.binned, feature, rows, ctx.targets);
+                    .accumulate(ctx.binned, feature, rows, targets, weights);
                 consider(
                     feature,
                     scan_boundaries(
@@ -277,7 +293,7 @@ impl RegressionTree {
         }
 
         let Some((feature, split, bin)) = best else {
-            return Ok(self.push_leaf(mean, n));
+            return Ok(self.push_binned_leaf(ctx, rows, mean, n));
         };
 
         self.gain_by_feature[feature] += split.gain;
@@ -291,39 +307,42 @@ impl RegressionTree {
         // The reserved NaN code is greater than every boundary bin, so it
         // only goes left when the scan routed missing rows left.
         let nan_code = ctx.binned.nan_code(feature);
-        let mut n_left = 0usize;
+        let mut n_left_rows = 0usize;
         ctx.part_buf.clear();
-        for i in 0..n {
+        for i in 0..rows.len() {
             let r = rows[i];
             if codes[r] <= bin_code || (split.nan_left && codes[r] == nan_code) {
-                rows[n_left] = r;
-                n_left += 1;
+                rows[n_left_rows] = r;
+                n_left_rows += 1;
             } else {
                 ctx.part_buf.push(r);
             }
         }
-        rows[n_left..].copy_from_slice(&ctx.part_buf);
-        debug_assert_eq!(n_left, split.n_left);
+        rows[n_left_rows..].copy_from_slice(&ctx.part_buf);
+        let (left_rows, right_rows) = rows.split_at_mut(n_left_rows);
+        // The split's sizes are weighted, like `n`.
+        let (n_left, n_right) = (split.n_left, n - split.n_left);
+        debug_assert_eq!(weighted_len(left_rows, weights), n_left);
 
         let node_idx = self.nodes.len();
         self.nodes.push(Node::Leaf {
             value: mean,
             n_samples: n,
         });
-        let (left_rows, right_rows) = rows.split_at_mut(n_left);
 
         // Subtraction trick: re-accumulate only the smaller child's
-        // histograms; the sibling's are parent − smaller, bin by bin.
+        // histograms; the parent's buffers become the sibling's, parent −
+        // smaller, bin by bin.
         let (left_inherit, right_inherit) = match node_hists {
-            Some(parent) if ctx.child_may_split(depth, left_rows.len(), right_rows.len()) => {
-                if left_rows.len() <= right_rows.len() {
+            Some(mut parent) if ctx.child_may_split(depth, n_left, n_right) => {
+                if n_left <= n_right {
                     let small = ctx.build_all_hists(left_rows);
-                    let large = parent.subtract(&small);
-                    (Some(small), Some(large))
+                    parent.subtract(&small);
+                    (Some(small), Some(parent))
                 } else {
                     let small = ctx.build_all_hists(right_rows);
-                    let large = parent.subtract(&small);
-                    (Some(large), Some(small))
+                    parent.subtract(&small);
+                    (Some(parent), Some(small))
                 }
             }
             _ => (None, None),
@@ -339,6 +358,24 @@ impl RegressionTree {
             nan_left: split.nan_left,
         };
         Ok(node_idx)
+    }
+
+    /// Push a leaf for the binned node holding `rows`, filing each row
+    /// under it when the fit collects leaves.
+    fn push_binned_leaf(
+        &mut self,
+        ctx: &mut BinnedCtx<'_>,
+        rows: &[usize],
+        value: f64,
+        n_samples: usize,
+    ) -> usize {
+        let leaf = self.push_leaf(value, n_samples);
+        if let Some(leaves) = ctx.leaves.as_deref_mut() {
+            for &r in rows {
+                leaves[r] = leaf;
+            }
+        }
+        leaf
     }
 
     fn push_leaf(&mut self, value: f64, n_samples: usize) -> usize {
@@ -493,57 +530,112 @@ impl RegressionTree {
     }
 }
 
+/// The number of rows `rows` stands for: each row counts its weight.
+fn weighted_len(rows: &[usize], weights: &[u32]) -> usize {
+    rows.iter().map(|&r| weights[r] as usize).sum()
+}
+
+/// The input checks both engines share, made once per fit: `rows` indexes
+/// `targets` and the matrix throughout the build.
+fn check_fit(
+    config: &TreeConfig,
+    targets: &[f64],
+    rows: &[usize],
+    n_rows: usize,
+) -> Result<(), TreesError> {
+    config.validate()?;
+    if rows.is_empty() {
+        return Err(TreesError::EmptyTraining);
+    }
+    if targets.len() != n_rows {
+        return Err(TreesError::LengthMismatch {
+            features: n_rows,
+            targets: targets.len(),
+        });
+    }
+    if let Some(&row) = rows.iter().find(|&&r| r >= n_rows) {
+        return Err(TreesError::InvalidParameter {
+            message: format!("row index {row} is out of range for a matrix of {n_rows} rows"),
+        });
+    }
+    Ok(())
+}
+
 /// Shared state of one binned tree build: the read-only binned matrix plus
-/// reusable scratch, so recursion allocates nothing per node.
+/// reusable scratch, so recursion allocates nothing per node beyond the
+/// histograms the subtraction trick hands down.
 struct BinnedCtx<'a> {
     binned: &'a BinnedMatrix,
     targets: &'a [f64],
+    /// Multiplicity of each row id in the fit's row list (0 when absent).
+    weights: &'a [u32],
     config: &'a TreeConfig,
+    /// Feature `f`'s bins occupy `hist_offsets[f]..hist_offsets[f + 1]` of
+    /// a [`NodeHists`].
+    hist_offsets: Vec<usize>,
     scratch: HistScratch,
     /// Staging area for right-child rows during the stable partition.
     part_buf: Vec<usize>,
     /// Histograms accumulated from rows (subtraction-derived ones excluded).
     hists_built: u64,
+    /// Leaf of each fitted row, by row id, when the caller asked for it.
+    leaves: Option<&'a mut [usize]>,
 }
 
-/// One node's histograms for every feature (`(sums, counts)` per bin) —
-/// the unit children inherit under the subtraction trick.
+/// One node's histograms for every feature, all features' bins end to end
+/// — the unit children inherit under the subtraction trick.
 struct NodeHists {
-    per_feature: Vec<(Vec<f64>, Vec<u32>)>,
+    sum: Vec<f64>,
+    cnt: Vec<u32>,
 }
 
 impl NodeHists {
-    /// The sibling's histograms: `self − other`, bin by bin.
-    fn subtract(&self, other: &NodeHists) -> NodeHists {
-        let per_feature = self
-            .per_feature
-            .iter()
-            .zip(&other.per_feature)
-            .map(|((sum, cnt), (osum, ocnt))| {
-                let s: Vec<f64> = sum.iter().zip(osum).map(|(a, b)| a - b).collect();
-                let c: Vec<u32> = cnt.iter().zip(ocnt).map(|(a, b)| a - b).collect();
-                (s, c)
-            })
-            .collect();
-        NodeHists { per_feature }
+    /// Feature `feature`'s `(sums, counts)` per bin.
+    fn feature(&self, offsets: &[usize], feature: usize) -> (&[f64], &[u32]) {
+        let bins = offsets[feature]..offsets[feature + 1];
+        (&self.sum[bins.clone()], &self.cnt[bins])
+    }
+
+    /// Turn a parent's histograms into its other child's: `self − child`,
+    /// bin by bin, in place.
+    fn subtract(&mut self, child: &NodeHists) {
+        for (a, b) in self.sum.iter_mut().zip(&child.sum) {
+            *a -= b;
+        }
+        for (a, b) in self.cnt.iter_mut().zip(&child.cnt) {
+            *a -= b;
+        }
     }
 }
 
 impl BinnedCtx<'_> {
-    /// Accumulate fresh histograms of every feature over `rows`.
+    /// Accumulate fresh histograms of every feature over `rows`, straight
+    /// into the node's own buffers.
     fn build_all_hists(&mut self, rows: &[usize]) -> NodeHists {
-        self.hists_built += self.binned.n_features() as u64;
-        let per_feature = (0..self.binned.n_features())
-            .map(|f| {
-                let h = self.scratch.accumulate(self.binned, f, rows, self.targets);
-                (h.sum.to_vec(), h.cnt.to_vec())
-            })
-            .collect();
-        NodeHists { per_feature }
+        let n_features = self.binned.n_features();
+        self.hists_built += n_features as u64;
+        let total_bins = self.hist_offsets[n_features];
+        let mut hists = NodeHists {
+            sum: vec![0.0; total_bins],
+            cnt: vec![0; total_bins],
+        };
+        for f in 0..n_features {
+            let bins = self.hist_offsets[f]..self.hist_offsets[f + 1];
+            accumulate_into(
+                &mut hists.sum[bins.clone()],
+                &mut hists.cnt[bins],
+                self.binned.codes(f),
+                rows,
+                self.targets,
+                self.weights,
+            );
+        }
+        hists
     }
 
     /// Whether a child of a node at `depth` could still be split — i.e.
-    /// whether handing down inherited histograms can pay off.
+    /// whether handing down inherited histograms can pay off. Sizes are
+    /// weighted.
     fn child_may_split(&self, depth: usize, n_left: usize, n_right: usize) -> bool {
         depth + 1 < self.config.max_depth && n_left.max(n_right) >= self.config.min_samples_split
     }
@@ -679,6 +771,38 @@ mod tests {
             RegressionTree::fit(&data, &short, &[0, 1], &TreeConfig::default(), &mut rng),
             Err(TreesError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_row_is_an_error_for_the_exact_engine() {
+        let (data, targets) = xor_data();
+        let mut rng = StdRng::seed_from_u64(4);
+        let rows = [0, data.n_rows(), 1];
+        let err = RegressionTree::fit(&data, &targets, &rows, &TreeConfig::default(), &mut rng)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TreesError::InvalidParameter {
+                message: "row index 40 is out of range for a matrix of 40 rows".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn out_of_range_row_is_an_error_for_the_histogram_engine() {
+        let (data, targets) = xor_data();
+        let binned = BinnedMatrix::from_matrix(&data).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let rows = [3, 1, data.n_rows() + 7];
+        let err =
+            RegressionTree::fit_binned(&binned, &targets, &rows, &TreeConfig::default(), &mut rng)
+                .unwrap_err();
+        assert_eq!(
+            err,
+            TreesError::InvalidParameter {
+                message: "row index 47 is out of range for a matrix of 40 rows".to_string()
+            }
+        );
     }
 
     #[test]

@@ -129,26 +129,40 @@ fn prop_trees_are_identical_on_exactly_binned_data() {
         let names = vec!["a".into(), "b".into(), "c".into()];
         let data = FeatureMatrix::from_columns(names, columns).unwrap();
         let targets = binary_targets(g, n);
-        let rows: Vec<usize> = (0..n).collect();
+        // Half the cases draw rows with repetition, as a bootstrap does:
+        // the exact engine keeps every copy as its own row, the histogram
+        // engine folds the copies into one weighted row.
+        let rows: Vec<usize> = if g.bool() {
+            (0..n).map(|_| g.usize_in(0, n - 1)).collect()
+        } else {
+            (0..n).collect()
+        };
         let binned = BinnedMatrix::from_matrix(&data).unwrap();
         let seed = g.usize_in(0, u32::MAX as usize) as u64;
 
         for max_features in [MaxFeatures::All, MaxFeatures::Sqrt] {
-            let config = TreeConfig {
-                max_depth: 5,
-                max_features,
-                ..TreeConfig::default()
-            };
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let exact = RegressionTree::fit(&data, &targets, &rows, &config, &mut rng_a).unwrap();
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let hist =
-                RegressionTree::fit_binned(&binned, &targets, &rows, &config, &mut rng_b).unwrap();
-            // Same RNG stream + bit-identical split decisions ⇒ the same
-            // tree, node for node — and both engines must have consumed
-            // the same number of RNG draws to stay in lockstep.
-            assert_eq!(exact, hist, "max_features = {max_features:?}");
-            assert_eq!(exact.predict(&data).unwrap(), hist.predict(&data).unwrap());
+            for min_samples_leaf in [1, 3] {
+                let config = TreeConfig {
+                    max_depth: 5,
+                    min_samples_leaf,
+                    max_features,
+                    ..TreeConfig::default()
+                };
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let exact =
+                    RegressionTree::fit(&data, &targets, &rows, &config, &mut rng_a).unwrap();
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                let hist =
+                    RegressionTree::fit_binned(&binned, &targets, &rows, &config, &mut rng_b)
+                        .unwrap();
+                // Same RNG stream + bit-identical split decisions ⇒ the same
+                // tree, node for node (leaf values and sizes included) —
+                // and both engines must have consumed the same number of
+                // RNG draws to stay in lockstep.
+                let tag = format!("max_features = {max_features:?}, msl = {min_samples_leaf}");
+                assert_eq!(exact, hist, "{tag}");
+                assert_eq!(exact.predict(&data).unwrap(), hist.predict(&data).unwrap());
+            }
         }
     });
 }
