@@ -2,7 +2,8 @@
 //! (DESIGN.md §14): the same SMART-log CSV replayed through two daemon
 //! instances — at different ingest worker counts — must produce
 //! byte-identical query transcripts, run to run and worker count to
-//! worker count.
+//! worker count, and a session must get the same transcript while a
+//! writer holds the daemon's lock.
 
 use std::io::Cursor;
 
@@ -64,17 +65,27 @@ fn daemon_over(fleet: &Fleet, workers: usize) -> Daemon {
     daemon
 }
 
-/// The full scripted transcript of one socket session against `daemon`:
-/// STATUS, FEATURES, and a SCORE for every drive in the fleet.
+/// The scripted session: STATUS, FEATURES, and a SCORE for every drive
+/// in the fleet.
+fn script(fleet: &Fleet) -> Vec<String> {
+    let mut commands: Vec<String> = vec!["STATUS".to_string(), "FEATURES".to_string()];
+    commands.extend(fleet.drives().iter().map(|d| format!("SCORE {}", d.id)));
+    commands.push("QUIT".to_string());
+    commands
+}
+
+/// Run `commands` as one socket session against `addr`.
+fn session(addr: std::net::SocketAddr, commands: &[String]) -> std::io::Result<Vec<String>> {
+    let refs: Vec<&str> = commands.iter().map(String::as_str).collect();
+    listener::query_session(addr, &refs)
+}
+
+/// The full scripted transcript of one socket session against `daemon`.
 fn transcript(fleet: &Fleet, daemon: Daemon) -> Vec<String> {
     let shared = Arc::new(Mutex::new(daemon));
     let server =
         listener::start("127.0.0.1:0", Arc::clone(&shared), "serve-e2e").expect("bind listener");
-    let mut commands: Vec<String> = vec!["STATUS".to_string(), "FEATURES".to_string()];
-    commands.extend(fleet.drives().iter().map(|d| format!("SCORE {}", d.id)));
-    commands.push("QUIT".to_string());
-    let refs: Vec<&str> = commands.iter().map(String::as_str).collect();
-    let responses = listener::query_session(server.addr(), &refs).expect("query session");
+    let responses = session(server.addr(), &script(fleet)).expect("query session");
     server.stop();
     responses
 }
@@ -93,6 +104,23 @@ fn transcripts_identical_across_runs_and_worker_counts() {
     assert!(one_a[1].starts_with("ok features "), "{}", one_a[1]);
     let scored = one_a.iter().filter(|r| r.starts_with("ok score ")).count();
     assert!(scored > 0, "no drive produced a score: {one_a:?}");
+}
+
+#[test]
+fn queries_never_wait_for_the_daemon_lock() {
+    let fleet = fleet();
+    let shared = Arc::new(Mutex::new(daemon_over(&fleet, 1)));
+    let server =
+        listener::start("127.0.0.1:0", Arc::clone(&shared), "serve-e2e-locked").expect("bind");
+    let free = session(server.addr(), &script(&fleet)).expect("session without the lock");
+    // A writer holds the lock for the whole second session. The client
+    // gives up on a block after 5 s, so a listener that waited for this
+    // lock would fail the test instead of hanging it.
+    let held = shared.lock().expect("daemon lock");
+    let locked = session(server.addr(), &script(&fleet));
+    drop(held);
+    server.stop();
+    assert_eq!(locked.expect("session while the lock is held"), free);
 }
 
 #[test]

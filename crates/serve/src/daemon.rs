@@ -1,25 +1,31 @@
-//! The daemon core: replay cursor, update cycle, and query handlers.
+//! The daemon's writer side: replay cursor, update cycle, ingest, and
+//! the publish points that hand readers a new view of its state.
 //!
 //! The daemon is deliberately socket-free — [`crate::listener`] owns the
-//! TCP side and calls in here under a lock. Everything below is pure
-//! state machine, which is what makes the golden-transcript CI smoke and
-//! the worker-count determinism test possible.
+//! TCP side. Readers never call in here: they load the view the daemon
+//! last published from its `Published` cell, so only writers (ingest and
+//! replay) take whatever lock wraps the daemon.
+//! Everything below is pure state machine, which is what makes the
+//! golden-transcript CI smoke and the worker-count determinism test
+//! possible.
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
 use smart_dataset::{
-    stream_drive_batches, DriveBatch, DriveId, DriveModel, DriveRecord, Fleet, FleetConfig,
-    IngestConfig, IngestStats, TroubleTicket,
+    stream_drive_batches, DriveId, DriveModel, DriveRecord, Fleet, FleetConfig, IngestConfig,
+    IngestStats, TroubleTicket,
 };
 use smart_pipeline::{
     base_features, base_matrix, collect_samples, survival_pairs, FailurePredictor, PredictorConfig,
     SamplingConfig,
 };
+use sync::{Arc, Published};
 use wefr_core::wearout::detect_wearout_threshold;
 use wefr_core::{SelectionInput, UpdateDecision, UpdateMonitor, Wefr, WefrConfig, WefrError};
 
 use crate::error::ServeError;
+use crate::view::{Selection, View};
 
 /// Environment knob overriding the update-cycle cadence in days.
 pub const ENV_SERVE_PERIOD_DAYS: &str = "WEFR_SERVE_PERIOD_DAYS";
@@ -101,33 +107,22 @@ pub struct CycleReport {
     pub skipped: Option<String>,
 }
 
-/// The product of a re-selection: what to score with until the next one.
-#[derive(Debug)]
-struct SelectionState {
-    /// Names of the selected base features, best first.
-    selected_names: Vec<String>,
-    /// Predictor trained on the selected features.
-    predictor: FailurePredictor,
-    /// The day the selection ran.
-    selected_at_day: u32,
-    /// The wear-out threshold the selection acted upon.
-    threshold: Option<u32>,
-}
-
 /// The continuous-selection daemon: tracked drives, replay cursor, update
 /// monitor, and the active selection.
 #[derive(Debug)]
 pub struct Daemon {
     config: ServeConfig,
     base: Vec<smart_dataset::FeatureId>,
-    drives: BTreeMap<DriveId, DriveRecord>,
-    day: Option<u32>,
     monitor: UpdateMonitor,
     /// Last day a cycle was *attempted* (recorded or skipped). Skipped
     /// checks never reach the monitor, so without this a data-starved
     /// daemon would retry daily instead of on the configured cadence.
     last_attempt_day: Option<u32>,
-    selection: Option<SelectionState>,
+    /// Cursor, drives and selection as the writer moves them; equal to
+    /// what `published` holds whenever no `&mut self` call is running.
+    view: View,
+    /// What readers load.
+    published: Arc<Published<View>>,
 }
 
 impl Daemon {
@@ -135,15 +130,34 @@ impl Daemon {
     pub fn new(config: ServeConfig) -> Self {
         let base = base_features(config.model);
         let monitor = UpdateMonitor::new(config.period_days, config.tolerance);
+        let view = View {
+            model: config.model,
+            period_days: config.period_days,
+            day: None,
+            fleet: None,
+            selection: None,
+        };
+        let published = Arc::new(Published::new(Arc::new(view.clone())));
         Daemon {
             config,
             base,
-            drives: BTreeMap::new(),
-            day: None,
             monitor,
             last_attempt_day: None,
-            selection: None,
+            view,
+            published,
         }
+    }
+
+    /// The readers' handle: the cell each publish point stores a copy of
+    /// the daemon's view into. Loading from it never waits for a cycle or
+    /// an ingest.
+    pub(crate) fn reader(&self) -> Arc<Published<View>> {
+        Arc::clone(&self.published)
+    }
+
+    /// The daemon's state, as last published.
+    pub(crate) fn view(&self) -> &View {
+        &self.view
     }
 
     /// The active configuration.
@@ -153,26 +167,29 @@ impl Daemon {
 
     /// The replay cursor: the last day advanced to.
     pub fn day(&self) -> Option<u32> {
-        self.day
+        self.view.day
     }
 
     /// Number of tracked drives.
     pub fn n_drives(&self) -> usize {
-        self.drives.len()
+        self.view.drives().len()
     }
 
     /// The last observed day across all tracked drives — how far
     /// [`Daemon::advance_to`] can usefully replay.
     pub fn last_observed_day(&self) -> Option<u32> {
-        self.drives.values().map(DriveRecord::last_day).max()
+        self.view.drives().iter().map(DriveRecord::last_day).max()
     }
 
     /// Ingest a SMART-log CSV through the sharded reader, registering
-    /// every drive of the daemon's model.
+    /// every drive of the daemon's model, and publish the result. A
+    /// re-ingested drive replaces its record; scores read the record
+    /// directly, so late registration and replay order commute.
     ///
     /// # Errors
     ///
-    /// Propagates CSV parse errors.
+    /// Propagates CSV parse errors; the daemon's records are then
+    /// unchanged.
     pub fn ingest_csv<R: BufRead + Send>(
         &mut self,
         input: R,
@@ -180,49 +197,53 @@ impl Daemon {
         config: &IngestConfig,
     ) -> Result<IngestStats, ServeError> {
         let span = telemetry::span!("serve.ingest");
+        let model = self.config.model;
+        let mut records = BTreeMap::new();
         let stats = stream_drive_batches(input, tickets, config, |batch| {
-            self.ingest_batch(batch);
+            let of_model = batch.drives.into_iter().filter(|r| r.model == model);
+            records.extend(of_model.map(|r| (r.id, r)));
             Ok::<_, ServeError>(())
         })?;
+        for kept in self.view.drives() {
+            records.entry(kept.id).or_insert_with(|| kept.clone());
+        }
+        self.view.fleet = Some(Arc::new(fleet_of(model, records.into_values().collect())?));
+        self.publish();
         span.record("drives", stats.drives);
         telemetry::counter_add("serve.ingest.drives", stats.drives);
         Ok(stats)
-    }
-
-    /// Register one batch of drive records (the `stream_drive_batches`
-    /// consumer). Re-ingesting a drive replaces its record; scores read
-    /// the record directly, so late registration and replay order commute.
-    pub fn ingest_batch(&mut self, batch: DriveBatch) {
-        for record in batch.drives {
-            if record.model == self.config.model {
-                self.drives.insert(record.id, record);
-            }
-        }
     }
 
     /// Advance the replay cursor to `target` (inclusive) day by day,
     /// running the update cycle whenever the monitor says one is due.
     /// Returns one report per cycle attempted.
     ///
+    /// Each day ends in a publish point: readers see day `d` once its
+    /// cycle, if one ran, is over, and until then see day `d - 1`.
+    ///
     /// # Errors
     ///
     /// Propagates selection and training failures; the cursor stops on
-    /// the failing day.
+    /// the failing day, and that is what readers see.
     pub fn advance_to(&mut self, target: u32) -> Result<Vec<CycleReport>, ServeError> {
-        let start = match self.day {
+        let start = match self.view.day {
             Some(d) if d >= target => return Ok(Vec::new()),
             Some(d) => d + 1,
             None => 0,
         };
         let mut reports = Vec::new();
         for d in start..=target {
-            self.day = Some(d);
+            self.view.day = Some(d);
             let attempt_due = self
                 .last_attempt_day
                 .is_none_or(|l| d.saturating_sub(l) >= self.config.period_days);
-            if self.monitor.due(d) && attempt_due {
+            let cycle = (self.monitor.due(d) && attempt_due).then(|| {
                 self.last_attempt_day = Some(d);
-                reports.push(self.run_cycle(d)?);
+                self.run_cycle(d)
+            });
+            self.publish();
+            if let Some(report) = cycle {
+                reports.push(report?);
             }
         }
         Ok(reports)
@@ -238,7 +259,9 @@ impl Daemon {
         // Labels are only knowable once the horizon has fully elapsed:
         // sampling past `d - horizon` would peek at future failures.
         let label_to = d.saturating_sub(self.config.sampling.horizon);
-        let fleet = self.snapshot_fleet()?;
+        let Some(fleet) = self.view.fleet.clone() else {
+            return Ok(self.skipped_cycle(d, "no labeled samples yet"));
+        };
         let samples = match collect_samples(
             &fleet,
             self.config.model,
@@ -285,12 +308,12 @@ impl Daemon {
                 .collect();
             let predictor =
                 FailurePredictor::train(&fleet, &samples, &selected, &self.config.predictor)?;
-            self.selection = Some(SelectionState {
-                selected_names: selection.global.selected_names.clone(),
+            self.view.selection = Some(Arc::new(Selection {
+                names: selection.global.selected_names,
                 predictor,
-                selected_at_day: d,
+                day: d,
                 threshold,
-            });
+            }));
             telemetry::counter_add("serve.reselections", 1);
             reselected = true;
         }
@@ -314,19 +337,20 @@ impl Daemon {
         }
     }
 
-    /// A [`Fleet`] view over the tracked records, for the batch-path
-    /// sampling and training entry points.
-    fn snapshot_fleet(&self) -> Result<Fleet, ServeError> {
-        let records: Vec<_> = self.drives.values().cloned().collect();
-        let count = u32::try_from(records.len().max(1)).unwrap_or(u32::MAX);
-        // `from_records` keeps the records verbatim; the config is only
-        // carried for provenance, so any valid one will do.
-        let config = FleetConfig::builder()
-            .days(self.day.unwrap_or(0).saturating_add(1).max(120))
-            .seed(0)
-            .drives(self.config.model, count)
-            .build()?;
-        Ok(Fleet::from_records(config, records))
+    /// Publish the writer's state whole, and set the gauges that describe
+    /// it.
+    fn publish(&self) {
+        let view = &self.view;
+        let sel = view.selection.as_deref();
+        let gauge = |value: Option<u32>| value.map_or(f64::NAN, f64::from);
+        telemetry::gauge_set("serve.day", gauge(view.day));
+        telemetry::gauge_set("serve.selection_day", gauge(sel.map(|s| s.day)));
+        telemetry::gauge_set(
+            "serve.selected_features",
+            sel.map_or(0.0, |s| s.names.len() as f64),
+        );
+        telemetry::gauge_set("serve.threshold_mwi", gauge(sel.and_then(|s| s.threshold)));
+        self.published.store(Arc::new(view.clone()));
     }
 
     /// Score `id` on the current day with the active selection: the
@@ -338,26 +362,7 @@ impl Daemon {
     /// [`ServeError::NotReady`] when no selection is trained yet, the
     /// drive is unknown, or it is not observed on the current day.
     pub fn score(&self, id: DriveId) -> Result<f64, ServeError> {
-        let day = self
-            .day
-            .ok_or_else(|| ServeError::not_ready("no days ingested yet"))?;
-        let sel = self
-            .selection
-            .as_ref()
-            .ok_or_else(|| ServeError::not_ready("no feature selection trained yet"))?;
-        let record = self
-            .drives
-            .get(&id)
-            .ok_or_else(|| ServeError::not_ready(format!("unknown drive {id}")))?;
-        if !record.observed_on(day) {
-            return Err(ServeError::not_ready(format!(
-                "drive {id} is not observed on day {day} (last day {})",
-                record.last_day()
-            )));
-        }
-        let score = sel.predictor.score_drive_day(record, day)?;
-        telemetry::counter_add("serve.scores", 1);
-        Ok(score)
+        self.view.score(id)
     }
 
     /// The selected base-feature names, best first.
@@ -366,45 +371,39 @@ impl Daemon {
     ///
     /// [`ServeError::NotReady`] before the first selection.
     pub fn features(&self) -> Result<&[String], ServeError> {
-        self.selection
-            .as_ref()
-            .map(|s| s.selected_names.as_slice())
-            .ok_or_else(|| ServeError::not_ready("no feature selection trained yet"))
+        self.view.features()
     }
 
     /// Deterministic status lines: model, cursor, drive count, and the
     /// active selection's provenance. Deliberately free of clocks and
     /// request counters so two daemons fed the same logs agree.
     pub fn status_lines(&self) -> Vec<String> {
-        let mut lines = vec![
-            format!("model {}", self.config.model),
-            format!(
-                "day {}",
-                self.day
-                    .map_or_else(|| "none".to_string(), |d| d.to_string())
-            ),
-            format!("drives {}", self.drives.len()),
-            format!("period_days {}", self.config.period_days),
-        ];
-        match &self.selection {
-            None => lines.push("selection none".to_string()),
-            Some(s) => {
-                lines.push(format!(
-                    "selection day={} features={} threshold={}",
-                    s.selected_at_day,
-                    s.selected_names.len(),
-                    s.threshold
-                        .map_or_else(|| "none".to_string(), |t| t.to_string()),
-                ));
-            }
-        }
-        lines
+        self.view.status_lines()
     }
+}
+
+/// `records`, in id order, as a [`Fleet`] for the batch-path sampling and
+/// training entry points. `from_records` keeps the records verbatim; the
+/// config is only carried for provenance, so any valid one will do.
+fn fleet_of(model: DriveModel, records: Vec<DriveRecord>) -> Result<Fleet, ServeError> {
+    let days = records
+        .iter()
+        .map(|r| r.last_day().saturating_add(1))
+        .max()
+        .unwrap_or(0);
+    let count = u32::try_from(records.len().max(1)).unwrap_or(u32::MAX);
+    let config = FleetConfig::builder()
+        .days(days.max(120))
+        .seed(0)
+        .drives(model, count)
+        .build()?;
+    Ok(Fleet::from_records(config, records))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{respond, Request};
     use smart_dataset::csv::export_smart_csv;
     use smart_dataset::{tickets_from_summaries, DriveRecord};
     use std::io::Cursor;
@@ -533,6 +532,41 @@ mod tests {
                 assert!(message.contains("is not observed on day"), "{message}");
             }
             other => panic!("expected NotReady, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_cycle_is_published_where_the_cursor_stopped() {
+        let fleet = smoke_fleet();
+        let last = fleet.drives().iter().map(|d| d.last_day()).max().unwrap();
+        let mut healthy = Daemon::new(smoke_config());
+        ingest(&mut healthy, &fleet, 1);
+        let failing_day = healthy
+            .advance_to(last)
+            .unwrap()
+            .iter()
+            .find(|r| r.reselected)
+            .expect("a re-selecting cycle")
+            .day;
+        // A forest of no trees refuses to fit, so the first re-selecting
+        // cycle fails in training.
+        let mut config = smoke_config();
+        config.predictor.n_trees = 0;
+        let mut daemon = Daemon::new(config);
+        ingest(&mut daemon, &fleet, 1);
+        let err = daemon.advance_to(last).unwrap_err();
+        assert!(matches!(err, ServeError::Pipeline(_)), "{err}");
+        assert_eq!(daemon.day(), Some(failing_day), "the cursor stops there");
+        let view = daemon.reader().load();
+        let status = view.respond(Request::Status);
+        assert!(
+            status.contains(&format!("day {failing_day}")),
+            "readers must see the failing day: {status:?}"
+        );
+        assert_eq!(status, respond(&daemon, Request::Status));
+        for d in fleet.drives() {
+            let request = Request::Score(d.id);
+            assert_eq!(view.respond(request), respond(&daemon, request));
         }
     }
 

@@ -10,8 +10,9 @@
 //!    the sharded reader's determinism guarantee: any worker count
 //!    produces the same state.
 //! 2. **Scoring** ([`daemon`]) — the daemon keeps each tracked drive's
-//!    full record; `SCORE` expands the selected base features of one
-//!    drive-day with [`smart_pipeline::features::expand_sample`], the
+//!    full record, in one id-ordered [`smart_dataset::Fleet`] that cycles
+//!    and readers share; `SCORE` expands the selected base features of
+//!    one drive-day with [`smart_pipeline::features::expand_sample`], the
 //!    function training uses, so served features equal training features
 //!    bit for bit.
 //! 3. **Update cycle** ([`daemon`]) — a [`wefr_core::UpdateMonitor`]
@@ -26,18 +27,26 @@
 //!    [`smart_sync::shutdown::StopFlag`] handshake. The crate itself names
 //!    no socket type.
 //!
-//! All query output is deterministic: state lives in `BTreeMap`s, scores
+//! Readers and the writer never wait on each other: after every replayed
+//! day and every ingest the daemon publishes an immutable view of its
+//! state into a [`smart_sync::Published`] cell, and each query is
+//! answered from the view current when it arrives. A query that meets a
+//! re-selection gets the state from before it, at once.
+//!
+//! All query output is deterministic: drives are kept in id order, scores
 //! come from the deterministic forest, and responses carry no clocks or
 //! request counters — two daemons fed the same logs answer byte-for-byte
 //! identically, regardless of ingest worker count.
 //!
 //! [`smart_sync::shutdown::StopFlag`]: sync::shutdown::StopFlag
+//! [`smart_sync::Published`]: sync::Published
 //! [`smart_dataset::stream_drive_batches`]: smart_dataset::stream_drive_batches
 
 pub mod daemon;
 pub mod error;
 pub mod listener;
 pub mod protocol;
+mod view;
 
 pub use daemon::{CycleReport, Daemon, ServeConfig};
 pub use error::ServeError;

@@ -4,6 +4,10 @@
 //! `GET /metrics` and `GET /report` on the same port, and owns the accept
 //! loop, the 8 KiB request caps, and the [`StopFlag`]-handshake shutdown.
 //!
+//! Sessions read, they never write: each request is answered from the
+//! view the daemon last published, loaded from its [`Published`] cell,
+//! and the daemon's own lock is never taken.
+//!
 //! No socket type is named here, so the crate stays off the smart-lint
 //! `network_access` allowlist: the session loop and its block writer are
 //! generic over `BufRead`/`Write`, and the client helper
@@ -14,28 +18,41 @@
 use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 
-use sync::{Arc, Mutex, PoisonError};
+use sync::{Arc, Mutex, PoisonError, Published};
 use telemetry::serve::{connect, listen, read_line_bounded, Listener};
 
 use crate::daemon::Daemon;
-use crate::protocol::{parse_request, respond, Request};
+use crate::protocol::{parse_request, Request};
+use crate::view::View;
 
 /// Bind `addr` and answer queries against `daemon` from a background
 /// thread until the returned handle is stopped or dropped. `run` labels
 /// the telemetry snapshot behind `GET /metrics` and `GET /report`.
 ///
+/// The daemon's lock is taken once, here, to get its read handle. From
+/// then on every request is answered from the view the daemon last
+/// published, so a query never waits for a cycle or an ingest holding the
+/// lock; one that arrives during day `d`'s cycle gets day `d - 1`'s state.
+/// The listener serves the daemon it was started with: putting another
+/// `Daemon` into the mutex later does not redirect it.
+///
 /// # Errors
 ///
 /// Propagates bind and thread-spawn failures.
 pub fn start(addr: &str, daemon: Arc<Mutex<Daemon>>, run: &str) -> std::io::Result<Listener> {
+    let views = daemon
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .reader();
     listen(addr, run, move |line, reader, writer| {
-        session(&daemon, line, reader, writer)
+        session(&views, line, reader, writer)
     })
 }
 
-/// Answer `line` and every later request line until `QUIT` or EOF.
+/// Answer `line` and every later request line until `QUIT` or EOF, each
+/// from the view current when it is answered.
 fn session<R: BufRead, W: Write>(
-    daemon: &Mutex<Daemon>,
+    views: &Published<View>,
     mut line: String,
     reader: &mut R,
     writer: &mut W,
@@ -45,10 +62,7 @@ fn session<R: BufRead, W: Write>(
         match parse_request(&line) {
             Ok(request) => {
                 let quit = request == Request::Quit;
-                let lines = {
-                    let guard = daemon.lock().unwrap_or_else(PoisonError::into_inner);
-                    respond(&guard, request)
-                };
+                let lines = views.load().respond(request);
                 write_block(writer, &lines)?;
                 if quit {
                     return Ok(());
@@ -177,6 +191,101 @@ mod tests {
         let (listener, _daemon) = start_empty();
         assert_dropped_without_reply(listener.addr(), &vec![b'x'; 1 << 20]);
         listener.stop();
+    }
+
+    /// The listener's longest request line, `\n` included.
+    const CAP: usize = 8 * 1024;
+
+    /// One random request line of the fuzz: a command, random bytes
+    /// (invalid UTF-8 included), or a run of bytes near or past the cap.
+    fn fuzz_line(g: &mut rng::prop::Gen) -> Vec<u8> {
+        const WORDS: [&str; 8] = [
+            "STATUS",
+            "features",
+            "SCORE 3",
+            "score drive-000001",
+            "SCORE",
+            "BOGUS x",
+            "  ",
+            "QUIT",
+        ];
+        match g.usize_in(0, 9) {
+            0..=4 => WORDS[g.usize_in(0, WORDS.len() - 1)].as_bytes().to_vec(),
+            5..=7 => (0..g.usize_in(0, 40))
+                .map(|_| g.u64_in(0, 255) as u8)
+                .collect(),
+            _ => vec![b'x'; g.usize_in(CAP - 2, CAP + 2)],
+        }
+    }
+
+    /// What the listener must do with `input`: the reply blocks it owes,
+    /// and whether the session ends in an error (an over-cap or non-UTF-8
+    /// line) rather than at EOF or `QUIT`.
+    fn owed(input: &[u8]) -> (usize, bool) {
+        let mut rest = input;
+        let mut replies = 0;
+        while !rest.is_empty() {
+            let head = &rest[..rest.len().min(CAP)];
+            let Some(end) = head.iter().position(|&b| b == b'\n').map(|i| i + 1).or(
+                // A last line without `\n` is answered if it fits.
+                (rest.len() < CAP).then_some(rest.len()),
+            ) else {
+                return (replies, true);
+            };
+            let Ok(line) = std::str::from_utf8(&rest[..end]) else {
+                return (replies, true);
+            };
+            replies += 1;
+            if parse_request(line) == Ok(Request::Quit) {
+                break;
+            }
+            rest = &rest[end..];
+        }
+        (replies, false)
+    }
+
+    #[test]
+    fn fuzzed_sessions_answer_whole_blocks_or_drop_the_line() {
+        let daemon = Daemon::new(ServeConfig::default());
+        let views = daemon.reader();
+        rng::prop_check!(|g| {
+            let mut input = Vec::new();
+            for _ in 0..g.usize_in(0, 6) {
+                input.extend(fuzz_line(g));
+                input.extend_from_slice([&b"\n"[..], b"\r\n", b"\r"][g.usize_in(0, 2)]);
+            }
+            if g.bool() {
+                // Cut the input mid-line.
+                input.extend(fuzz_line(g));
+            }
+            // The listener's first read, then the session, as
+            // `telemetry::serve::listen` runs them.
+            let mut reader = std::io::Cursor::new(&input[..]);
+            let mut written = Vec::new();
+            let mut first = String::new();
+            let result = match read_line_bounded(&mut reader, &mut first) {
+                Ok(0) => Ok(()),
+                Ok(_) => session(&views, first, &mut reader, &mut written),
+                Err(e) => Err(e),
+            };
+            let (replies, fails) = owed(&input);
+            assert_eq!(result.is_err(), fails, "{result:?}");
+            let written = String::from_utf8(written).expect("replies are text");
+            let blocks: Vec<&str> = match written.strip_suffix("\n\n") {
+                Some(body) => body.split("\n\n").collect(),
+                None => {
+                    assert!(written.is_empty(), "a reply block without its blank line");
+                    Vec::new()
+                }
+            };
+            assert_eq!(blocks.len(), replies, "{written:?}");
+            for block in blocks {
+                assert!(
+                    block.split('\n').all(|l| !l.is_empty()),
+                    "an empty line inside a block: {block:?}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -63,29 +63,11 @@ fn parse_drive_id(text: &str) -> Result<DriveId, String> {
         .map_err(|_| format!("bad drive id {text}"))
 }
 
-/// Answer a request against the daemon. Every response is a list of
-/// lines; the listener adds the terminating blank line.
+/// Answer a request from the view the daemon last published, through the
+/// one answer function the listener also uses. Every response is a list
+/// of lines; the listener adds the terminating blank line.
 pub fn respond(daemon: &Daemon, request: Request) -> Vec<String> {
-    match request {
-        Request::Score(id) => match daemon.score(id) {
-            Ok(score) => vec![format!("ok score {id} {score:.9}")],
-            Err(e) => vec![format!("ERR {e}")],
-        },
-        Request::Features => match daemon.features() {
-            Ok(names) => {
-                let mut lines = vec![format!("ok features {}", names.len())];
-                lines.extend(names.iter().cloned());
-                lines
-            }
-            Err(e) => vec![format!("ERR {e}")],
-        },
-        Request::Status => {
-            let mut lines = vec!["ok status".to_string()];
-            lines.extend(daemon.status_lines());
-            lines
-        }
-        Request::Quit => vec!["ok bye".to_string()],
-    }
+    daemon.view().respond(request)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //!
 //! Every hand-rolled concurrent structure in the workspace — the ordered
 //! worker [`pipeline`] both streaming sources run on, the telemetry
-//! watchdog's condvar handshake, the TCP listener's shutdown wake — builds
+//! watchdog's condvar handshake, the TCP listener's shutdown wake, the
+//! [`Published`] cell the daemon's readers load their view from — builds
 //! on the primitives exported here instead of `std::sync` directly (the
 //! `sync-hygiene` lint rule enforces this). The payoff is a single
 //! compile-time switch:
@@ -32,6 +33,7 @@ pub mod fixtures;
 #[cfg(feature = "model")]
 pub mod model;
 pub mod pipeline;
+mod publish;
 mod queue;
 #[cfg(feature = "model")]
 pub mod scenarios;
@@ -41,6 +43,8 @@ pub mod shutdown;
 /// poison-tolerant call sites (`.unwrap_or_else(PoisonError::into_inner)`)
 /// compile unchanged with and without `model`.
 pub use std::sync::{Arc, LockResult, PoisonError};
+
+pub use publish::Published;
 
 #[cfg(not(feature = "model"))]
 mod passthrough {

@@ -4,7 +4,8 @@
 //! Each scenario is a closure exercising the *real* production code —
 //! the queue primitives `BoundedQueue` and `ReorderBuffer`, the ordered
 //! [`crate::pipeline::run`] built on them, [`crate::shutdown::StopFlag`],
-//! and the TCP listener's `StopFlag` shutdown-wake shape — under
+//! the TCP listener's `StopFlag` shutdown-wake shape, and the
+//! [`crate::Published`] cell the daemon's readers load from — under
 //! [`crate::model::explore`]. The suite runs
 //! from `tests/model_suite.rs` and from the `check_model_coverage` bin,
 //! which asserts the committed schedule floors below and determinism
@@ -16,7 +17,7 @@ use crate::model::{check, Config, Report};
 use crate::pipeline;
 use crate::queue::{BoundedQueue, DuplicateIndex, ReorderBuffer};
 use crate::shutdown::StopFlag;
-use crate::thread;
+use crate::{thread, Arc, Published};
 
 /// One named model scenario with its committed coverage floor.
 pub struct Scenario {
@@ -78,6 +79,11 @@ pub fn all() -> Vec<Scenario> {
             name: "serve_shutdown_wake_terminates_listener",
             min_schedules: 115,
             runner: serve_shutdown_wake_terminates_listener,
+        },
+        Scenario {
+            name: "publish_loads_are_whole_and_monotone",
+            min_schedules: 100,
+            runner: publish_loads_are_whole_and_monotone,
         },
     ]
 }
@@ -249,5 +255,32 @@ fn serve_shutdown_wake_terminates_listener(config: &Config) -> Report {
             assert!(handled <= 1, "at most the pre-stop connection is served");
         });
         assert!(flag.is_stopped());
+    })
+}
+
+/// The daemon's publish cell: one writer stores two views, each a
+/// consistent `(day, selection day)` pair, while a reader loads three
+/// times. Every load is one of the published pairs, whole, and a later
+/// load never returns an older view than an earlier one.
+fn publish_loads_are_whole_and_monotone(config: &Config) -> Report {
+    check("publish_loads_are_whole_and_monotone", config, || {
+        let published = [(0u32, 0u32), (7, 7), (8, 7)];
+        let cell = Published::new(Arc::new(published[0]));
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                cell.store(Arc::new(published[1]));
+                cell.store(Arc::new(published[2]));
+            });
+            let mut newest = 0;
+            for _ in 0..3 {
+                let view = *cell.load();
+                let Some(age) = published.iter().position(|&p| p == view) else {
+                    panic!("load returned {view:?}, which was never published");
+                };
+                assert!(age >= newest, "load went back from view {newest} to {age}");
+                newest = age;
+            }
+        });
+        assert_eq!(*cell.load(), published[2], "the last store is current");
     })
 }
