@@ -17,6 +17,7 @@ use smart_complexity::{automated_feature_count, EnsembleConfig, ThresholdConfig}
 use smart_dataset::{Census, DriveModel, FleetConfig};
 use wefr_bench::{characterization_matrix, print_header, RunOptions};
 use wefr_core::rankers::forest::{ForestImportance, ForestRanker};
+use wefr_core::wearout::SURVIVAL_MIN_BUCKET;
 use wefr_core::{ensemble_rankings, FeatureRanker, FeatureRanking, PAPER_OUTLIER_SIGMA};
 
 fn main() {
@@ -38,7 +39,7 @@ fn ablate_changepoint_detectors(opts: &RunOptions) {
         census
             .summaries_of_model(DriveModel::Mc1)
             .map(|s| (s.final_mwi_n, s.is_failed())),
-        3,
+        SURVIVAL_MIN_BUCKET,
     );
     let work = curve.coarsened(25);
 

@@ -1,5 +1,7 @@
 #![forbid(unsafe_code)]
-//! Run every table and figure of the paper in sequence, sharing one fleet.
+//! Run every table and figure of the paper in sequence, each as its own
+//! binary in a child process given this run's arguments, so each builds
+//! its own fleet or census from the same options.
 //!
 //! This is the one-shot reproduction driver behind EXPERIMENTS.md; each
 //! artifact is also available as its own binary for focused runs. A child

@@ -208,10 +208,7 @@ fn main() {
     // No bench-side span here: `Wefr::select` opens its own span named
     // "select", which is exactly the stage we want to report.
     let selection = {
-        let wefr = Wefr::new(WefrConfig {
-            seed: opts.seed,
-            ..WefrConfig::default()
-        });
+        let wefr = Wefr::new(WefrConfig { seed: opts.seed });
         wefr.select(&SelectionInput {
             data: &generated.matrix,
             labels: &generated.labels,

@@ -31,6 +31,7 @@ use smart_trees::{RandomForest, SplitStrategy};
 use std::hint::black_box;
 use wefr_bench::{characterization_matrix, print_header, RunOptions};
 use wefr_core::rankers::forest::ForestRanker;
+use wefr_core::wearout::SURVIVAL_MIN_BUCKET;
 use wefr_core::{FeatureRanker, SelectionInput, Wefr, WefrConfig};
 
 /// Timed rounds per row (after one warm-up call); odd, so the median is
@@ -201,10 +202,7 @@ fn main() {
         }
     }
 
-    let wefr = Wefr::new(WefrConfig {
-        seed: opts.seed,
-        ..WefrConfig::default()
-    });
+    let wefr = Wefr::new(WefrConfig { seed: opts.seed });
     let input = SelectionInput {
         data: &matrix,
         labels: &labels,
@@ -226,11 +224,8 @@ fn main() {
 
     // Ablation: BOCPD against binary segmentation on MC1's smoothed
     // survival curve, built from the pairs WEFR's change-point stage reads.
-    let rates = SurvivalCurve::from_drives(
-        survival.iter().copied(),
-        WefrConfig::default().survival_min_bucket,
-    )
-    .smoothed_rates();
+    let rates =
+        SurvivalCurve::from_drives(survival.iter().copied(), SURVIVAL_MIN_BUCKET).smoothed_rates();
     let bocpd = BocpdConfig::default();
     let bocpd_seconds = watch.time("changepoint/bocpd", 100, &[], || {
         change_probabilities(black_box(&rates), &bocpd)

@@ -6,8 +6,8 @@
 //! point; `--out` writes the full series for replotting.
 
 use smart_changepoint::survival::SurvivalCurve;
-
 use wefr_bench::{print_header, RunOptions};
+use wefr_core::wearout::SURVIVAL_MIN_BUCKET;
 
 struct ModelCurve {
     model: String,
@@ -31,7 +31,7 @@ fn main() {
         let drives = census
             .summaries_of_model(model)
             .map(|s| (s.final_mwi_n, s.is_failed()));
-        let curve = SurvivalCurve::from_drives(drives, 3);
+        let curve = SurvivalCurve::from_drives(drives, SURVIVAL_MIN_BUCKET);
         let cp = curve
             .detect_change_point_default()
             .expect("valid BOCPD config");

@@ -42,13 +42,7 @@ fn main() {
             &opts.experiment_config(),
         )
         .expect("census config derived from a valid fleet");
-        let cp = detect_wearout_threshold(
-            &survival,
-            &smart_changepoint::BocpdConfig::default(),
-            smart_changepoint::PAPER_Z_THRESHOLD,
-            3,
-        )
-        .expect("valid BOCPD config");
+        let cp = detect_wearout_threshold(&survival).expect("valid BOCPD config");
         let Some(cp) = cp else {
             println!("--- {model} --- no change point detected; skipped");
             continue;

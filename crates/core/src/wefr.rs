@@ -4,58 +4,27 @@ use crate::ensemble::{ensemble_rankings, EnsembleRanking, PAPER_OUTLIER_SIGMA};
 use crate::error::WefrError;
 use crate::parallel::run_rankers;
 use crate::ranker::FeatureRanker;
-use crate::rankers::default_rankers_with_strategy;
+use crate::rankers::default_rankers;
 use crate::wearout::{detect_wearout_threshold, split_rows_by_mwi};
-use smart_changepoint::bocpd::BocpdConfig;
-use smart_changepoint::significance::PAPER_Z_THRESHOLD;
 use smart_changepoint::survival::WearoutChangePoint;
 use smart_complexity::{automated_feature_count, ScanResult, ThresholdConfig};
 use smart_stats::FeatureMatrix;
-use smart_trees::SplitStrategy;
 
-/// WEFR configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Minimum positive samples, and minimum negative samples, each wear-out
+/// group needs. A group model trained on a handful of failures is worse
+/// than the global model, so WEFR falls back to the global selection below
+/// this (the paper's production fleet always has ample failures per group;
+/// a small simulated fleet may not).
+const MIN_GROUP_POSITIVES: usize = 30;
+
+/// WEFR configuration. Everything else WEFR applies is fixed: the paper's
+/// 1.96σ outlier removal ([`PAPER_OUTLIER_SIGMA`]), α = 0.75 in the
+/// automated count ([`ThresholdConfig::default`]), the change-point rule of
+/// [`detect_wearout_threshold`], and the wear-out groups' minimum size.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WefrConfig {
     /// Seed for the stochastic rankers (Random Forest, boosting).
     pub seed: u64,
-    /// Split-search engine for the tree-based rankers (default:
-    /// [`SplitStrategy::Histogram`]).
-    pub split_strategy: SplitStrategy,
-    /// Outlier-removal threshold in standard deviations (paper: 1.96).
-    pub outlier_sigma: f64,
-    /// Automated feature-count configuration (`α = 0.75`).
-    pub threshold: ThresholdConfig,
-    /// BOCPD configuration for the survival-rate change point.
-    pub bocpd: BocpdConfig,
-    /// Significance threshold for change points (paper: ±2.5).
-    pub z_threshold: f64,
-    /// Minimum bucket population for survival-curve points.
-    pub survival_min_bucket: usize,
-    /// Minimum samples (with both classes present) a wear-out group needs
-    /// before WEFR selects features for it separately.
-    pub min_group_samples: usize,
-    /// Minimum *positive* samples each wear-out group needs. A group model
-    /// trained on a handful of failures is worse than the global model, so
-    /// WEFR falls back to the global selection below this (the paper's
-    /// production fleet always has ample failures per group; a small
-    /// simulated fleet may not).
-    pub min_group_positives: usize,
-}
-
-impl Default for WefrConfig {
-    fn default() -> Self {
-        WefrConfig {
-            seed: 0,
-            split_strategy: SplitStrategy::default(),
-            outlier_sigma: PAPER_OUTLIER_SIGMA,
-            threshold: ThresholdConfig::default(),
-            bocpd: BocpdConfig::default(),
-            z_threshold: PAPER_Z_THRESHOLD,
-            survival_min_bucket: 3,
-            min_group_samples: 40,
-            min_group_positives: 30,
-        }
-    }
 }
 
 /// Input to a WEFR selection run.
@@ -125,19 +94,6 @@ pub struct WefrSelection {
     pub wearout: Option<WearoutSelection>,
 }
 
-impl WefrSelection {
-    /// The selection to use for a drive currently at `mwi_n`: the matching
-    /// wear-out group when grouping is active, the global selection
-    /// otherwise.
-    pub fn for_mwi(&self, mwi_n: f64) -> &GroupSelection {
-        match &self.wearout {
-            Some(w) if mwi_n <= w.change_point.mwi_threshold as f64 => &w.low,
-            Some(w) => &w.high,
-            None => &self.global,
-        }
-    }
-}
-
 /// Wear-out-updating Ensemble Feature Ranking.
 ///
 /// # Example
@@ -165,7 +121,6 @@ impl WefrSelection {
 /// # }
 /// ```
 pub struct Wefr {
-    config: WefrConfig,
     rankers: Vec<Box<dyn FeatureRanker>>,
 }
 
@@ -178,7 +133,6 @@ impl Default for Wefr {
 impl std::fmt::Debug for Wefr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wefr")
-            .field("config", &self.config)
             .field(
                 "rankers",
                 &self.rankers.iter().map(|r| r.name()).collect::<Vec<_>>(),
@@ -190,23 +144,12 @@ impl std::fmt::Debug for Wefr {
 impl Wefr {
     /// WEFR with the paper's five preliminary approaches.
     pub fn new(config: WefrConfig) -> Self {
-        let rankers = default_rankers_with_strategy(config.seed, config.split_strategy);
-        Wefr { config, rankers }
+        Wefr::with_rankers(default_rankers(config.seed))
     }
 
     /// WEFR with a custom ranker ensemble.
-    pub fn with_rankers(config: WefrConfig, rankers: Vec<Box<dyn FeatureRanker>>) -> Self {
-        Wefr { config, rankers }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &WefrConfig {
-        &self.config
-    }
-
-    /// Names of the configured rankers.
-    pub fn ranker_names(&self) -> Vec<&'static str> {
-        self.rankers.iter().map(|r| r.name()).collect()
+    pub fn with_rankers(rankers: Vec<Box<dyn FeatureRanker>>) -> Self {
+        Wefr { rankers }
     }
 
     /// Run the full Algorithm 1 over `input`.
@@ -239,7 +182,7 @@ impl Wefr {
 
         // Lines 9–15: wear-out updating.
         let wearout = match (input.mwi_per_sample, input.survival) {
-            (Some(mwi), Some(survival)) => self.select_wearout(input, mwi, survival, &global)?,
+            (Some(mwi), Some(survival)) => self.select_wearout(input, mwi, survival)?,
             _ => None,
         };
 
@@ -253,16 +196,9 @@ impl Wefr {
         input: &SelectionInput<'_>,
         mwi: &[f64],
         survival: &[(f64, bool)],
-        _global: &GroupSelection,
     ) -> Result<Option<WearoutSelection>, WefrError> {
         let span = telemetry::span!("wearout_split", drives = survival.len());
-        let Some(change_point) = detect_wearout_threshold(
-            survival,
-            &self.config.bocpd,
-            self.config.z_threshold,
-            self.config.survival_min_bucket,
-        )?
-        else {
+        let Some(change_point) = detect_wearout_threshold(survival)? else {
             span.record("outcome", "no_change_point");
             return Ok(None);
         };
@@ -279,14 +215,13 @@ impl Wefr {
             high_rows = split.high_rows.len(),
             high_positives = positives(&split.high_rows),
         );
-        if !self.group_viable(input.labels, &split.low_rows)
-            || !self.group_viable(input.labels, &split.high_rows)
+        if !group_viable(input.labels, &split.low_rows)
+            || !group_viable(input.labels, &split.high_rows)
         {
             telemetry::info!(
                 "wearout",
                 "a wear-out group is too small; falling back to the global selection",
-                min_group_samples = self.config.min_group_samples,
-                min_group_positives = self.config.min_group_positives,
+                min_group_positives = MIN_GROUP_POSITIVES,
             );
             span.record("outcome", "fallback_global");
             return Ok(None);
@@ -301,13 +236,6 @@ impl Wefr {
             low,
             high,
         }))
-    }
-
-    fn group_viable(&self, labels: &[bool], rows: &[usize]) -> bool {
-        let positives = rows.iter().filter(|&&r| labels[r]).count();
-        rows.len() >= self.config.min_group_samples
-            && positives >= self.config.min_group_positives.max(1)
-            && rows.len() - positives >= self.config.min_group_positives.max(1)
     }
 
     fn select_rows(
@@ -341,8 +269,9 @@ impl Wefr {
     ) -> Result<GroupSelection, WefrError> {
         let span = telemetry::span!("select_group", group = group, rows = data.n_rows());
         let rankings = run_rankers(&self.rankers, data, labels)?;
-        let ensemble = ensemble_rankings(&rankings, self.config.outlier_sigma)?;
-        let scan = automated_feature_count(data, labels, &ensemble.order, &self.config.threshold)?;
+        let ensemble = ensemble_rankings(&rankings, PAPER_OUTLIER_SIGMA)?;
+        let scan =
+            automated_feature_count(data, labels, &ensemble.order, &ThresholdConfig::default())?;
         let selected: Vec<usize> = ensemble.order[..scan.chosen].to_vec();
         let selected_names: Vec<String> = selected
             .iter()
@@ -362,6 +291,13 @@ impl Wefr {
             scan,
         })
     }
+}
+
+/// Whether a wear-out group holds enough positive and negative samples to
+/// select features for separately.
+fn group_viable(labels: &[bool], rows: &[usize]) -> bool {
+    let positives = rows.iter().filter(|&&r| labels[r]).count();
+    positives >= MIN_GROUP_POSITIVES && rows.len() - positives >= MIN_GROUP_POSITIVES
 }
 
 #[cfg(test)]
@@ -441,32 +377,6 @@ mod tests {
         // the error feature.
         assert_eq!(wearout.low.selected_names[0], "EFC_R");
         assert_eq!(wearout.high.selected_names[0], "UCE_R");
-    }
-
-    #[test]
-    fn for_mwi_routes_to_groups() {
-        let (data, labels, mwi, survival) = wearout_population(900, 3);
-        let wefr = Wefr::default();
-        let sel = wefr
-            .select(&SelectionInput {
-                data: &data,
-                labels: &labels,
-                mwi_per_sample: Some(&mwi),
-                survival: Some(&survival),
-            })
-            .unwrap();
-        let w = sel.wearout.as_ref().unwrap();
-        let t = w.change_point.mwi_threshold as f64;
-        assert_eq!(sel.for_mwi(t - 1.0), &w.low);
-        assert_eq!(sel.for_mwi(t + 1.0), &w.high);
-    }
-
-    #[test]
-    fn for_mwi_without_wearout_is_global() {
-        let (data, labels, _, _) = wearout_population(400, 4);
-        let wefr = Wefr::default();
-        let sel = wefr.select(&SelectionInput::basic(&data, &labels)).unwrap();
-        assert_eq!(sel.for_mwi(10.0), &sel.global);
     }
 
     #[test]

@@ -43,10 +43,7 @@ fn rankings_are_identical_across_worker_counts() {
 #[test]
 fn selected_feature_set_is_reproducible_bit_for_bit() {
     let (matrix, labels) = training_matrix();
-    let wefr = Wefr::new(WefrConfig {
-        seed: 13,
-        ..WefrConfig::default()
-    });
+    let wefr = Wefr::new(WefrConfig { seed: 13 });
     let a = wefr
         .select(&SelectionInput::basic(&matrix, &labels))
         .expect("selection");

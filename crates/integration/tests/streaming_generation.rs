@@ -72,10 +72,7 @@ fn wefr_selected_set_is_identical_from_streamed_and_materialized_sources() {
         labels.contains(&true),
         "degenerate run: no positive samples"
     );
-    let wefr = Wefr::new(WefrConfig {
-        seed: 13,
-        ..WefrConfig::default()
-    });
+    let wefr = Wefr::new(WefrConfig { seed: 13 });
     let reference = wefr
         .select(&SelectionInput::basic(&matrix, &labels))
         .expect("materialized selection");

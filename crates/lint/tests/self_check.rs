@@ -1,11 +1,12 @@
 //! Self-check: the shipped workspace — smart-lint's own source included —
-//! must be lint-clean, with every suppression carrying a written reason.
+//! must be lint-clean, with every suppression carrying a written reason,
+//! and the committed report must be what a fresh run writes.
 //! Running under `cargo test` puts workspace cleanliness into tier-1.
 
 use std::path::Path;
 
 use lint::rules::{NET_ALLOWED_FILES, NET_TYPES};
-use lint::{lint_workspace, LintReport, SourceFile, TargetKind};
+use lint::{lint_workspace, write_report, LintReport, SourceFile, TargetKind};
 
 fn workspace_root() -> &'static Path {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -69,6 +70,21 @@ fn report_from_workspace_run_validates() {
             "concurrency rule {required:?} is no longer active"
         );
     }
+}
+
+#[test]
+fn committed_report_is_byte_identical_to_a_fresh_run() {
+    let outcome = lint_workspace(workspace_root()).expect("workspace lints");
+    let report = LintReport::from_outcome("workspace", &outcome);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_self_check");
+    let fresh = write_report(&report, &dir).expect("fresh report written");
+    let committed = workspace_root().join("results/lint_workspace.json");
+    assert!(
+        std::fs::read(&fresh).expect("fresh report")
+            == std::fs::read(&committed).expect("committed report"),
+        "results/lint_workspace.json is stale: regenerate it with \
+         `cargo run --release --offline -p smart-lint -- --deny-warnings` from the workspace root"
+    );
 }
 
 #[test]

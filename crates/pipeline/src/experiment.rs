@@ -8,15 +8,24 @@ use crate::evaluate::{
 };
 use crate::label::SampleRef;
 use crate::matrix::{
-    base_features, base_matrix, collect_samples, mwi_on, survival_pairs, SamplingConfig,
+    base_features, base_features_at, base_matrix, collect_samples, mwi_on, SamplingConfig,
 };
 use crate::split::{paper_phases, Phase};
 use crate::train::{FailurePredictor, PredictorConfig};
 use smart_dataset::{DriveModel, FeatureId, Fleet, SmartAttribute};
+use wefr_core::wearout::{is_low_wear, split_rows_by_mwi};
 use wefr_core::{
-    FeatureRanker, ForestRanker, GradientBoostingRanker, JIndexRanker, PearsonRanker,
-    SelectionInput, SpearmanRanker, Wefr, WefrConfig,
+    FeatureRanker, ForestRanker, GradientBoostingRanker, GroupSelection, JIndexRanker,
+    PearsonRanker, SelectionInput, SpearmanRanker, WearoutSelection, Wefr, WefrConfig,
+    WefrSelection,
 };
+
+/// Drives in the *planned* side census that wear-out change-point
+/// detection reads. The paper detects change points on the *whole fleet's*
+/// survival curve (a population statistic); a small experiment fleet
+/// cannot estimate it, so each phase consults a synthetic census of this
+/// size with the experiment fleet's failure characteristics.
+pub const WEAROUT_CENSUS_DRIVES: u32 = 4000;
 
 /// The five state-of-the-art selectors the paper compares against (§II-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,9 +90,6 @@ pub enum Method {
     },
     /// Full WEFR (Algorithm 1, with wear-out updating).
     Wefr,
-    /// WEFR without wear-out updating (skipping lines 10–15) — the Exp#3
-    /// baseline.
-    WefrNoUpdate,
 }
 
 impl Method {
@@ -93,7 +99,6 @@ impl Method {
             Method::NoSelection => "No feature selection".to_string(),
             Method::Selector { kind, .. } => kind.label().to_string(),
             Method::Wefr => "WEFR".to_string(),
-            Method::WefrNoUpdate => "WEFR (No update)".to_string(),
         }
     }
 }
@@ -117,28 +122,8 @@ pub struct ExperimentConfig {
     pub sampling: SamplingConfig,
     /// Prediction-model hyperparameters.
     pub predictor: PredictorConfig,
-    /// WEFR configuration.
-    pub wefr: WefrConfig,
     /// Fractions tried when tuning a selector's percentage.
     pub tune_grid: Vec<f64>,
-    /// Target recall override (`None` = the paper's per-model recall).
-    pub target_recall: Option<f64>,
-    /// Drives in the *planned* side census used for wear-out change-point
-    /// detection when no measured [`population`](Self::population) is
-    /// supplied. The paper detects change points on the *whole fleet's*
-    /// survival curve (a population statistic); a small experiment fleet
-    /// cannot estimate it, so WEFR runs without a population consult a
-    /// synthetic census of this size with the experiment fleet's failure
-    /// characteristics. `0` falls back to the experiment fleet's own
-    /// drives. Superseded by `population` whenever one is set — prefer
-    /// [`smart_dataset::Census::measured`] over this knob when a streamed
-    /// source is available.
-    pub wearout_census_drives: u32,
-    /// A census *measured* from the actual (usually streamed) population —
-    /// the documented default for paper-scale runs. When set,
-    /// [`wearout_survival`] reads the fleet-wide survival statistic from
-    /// it directly and both fallbacks above are bypassed.
-    pub population: Option<smart_dataset::Census>,
     /// Master seed.
     pub seed: u64,
 }
@@ -148,11 +133,7 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             sampling: SamplingConfig::default(),
             predictor: PredictorConfig::default(),
-            wefr: WefrConfig::default(),
             tune_grid: (1..=10).map(|i| i as f64 / 10.0).collect(),
-            target_recall: None,
-            wearout_census_drives: 4000,
-            population: None,
             seed: 0,
         }
     }
@@ -172,20 +153,6 @@ impl ExperimentConfig {
             seed,
             ..ExperimentConfig::default()
         }
-    }
-
-    /// Attach a measured population census: wear-out change-point
-    /// detection will read the survival statistic from it instead of
-    /// planning a synthetic side census.
-    #[must_use]
-    pub fn with_population(mut self, population: smart_dataset::Census) -> Self {
-        self.population = Some(population);
-        self
-    }
-
-    fn recall_for(&self, model: DriveModel) -> f64 {
-        self.target_recall
-            .unwrap_or_else(|| paper_target_recall(model))
     }
 }
 
@@ -243,10 +210,10 @@ impl PhasePredictor {
                 low,
                 high,
             } => {
-                // Route 0 (low) at or below the change point, 1 (high) above.
+                // Route 0 (low) or 1 (high) by the day's wear-out group.
                 let (mut scores, peak_routes) = score_routed(
                     &[low, high],
-                    |drive, day| Ok(usize::from(mwi_on(drive, day)? > *threshold)),
+                    |drive, day| Ok(usize::from(!is_low_wear(mwi_on(drive, day)?, *threshold))),
                     fleet,
                     model,
                     phase.test_start,
@@ -289,14 +256,12 @@ pub fn run_method(
     let mut phase_scores: Vec<Vec<DriveScore>> = Vec::with_capacity(phases.len());
     let mut fractions = Vec::new();
     for (phase_idx, phase) in phases.iter().enumerate() {
-        let outcome = run_phase(fleet, model, method, config, phase, phase_idx as u64)?;
-        phase_scores.push(outcome.scores);
-        if let Some(f) = outcome.selected_fraction {
-            fractions.push(f);
-        }
+        let (scores, fraction) = run_phase(fleet, model, method, config, phase, phase_idx)?;
+        phase_scores.push(scores);
+        fractions.extend(fraction);
     }
     let pooled: Vec<DriveScore> = phase_scores.iter().flatten().copied().collect();
-    let (overall, threshold) = metrics_at_fixed_recall(&pooled, config.recall_for(model))?;
+    let (overall, threshold) = metrics_at_fixed_recall(&pooled, paper_target_recall(model))?;
     let per_phase = phase_scores
         .iter()
         .map(|s| crate::evaluate::metrics_at_threshold(s, threshold))
@@ -314,148 +279,161 @@ pub fn run_method(
     })
 }
 
-/// Scores and diagnostics produced by one phase of one method run.
-pub struct PhaseOutcome {
-    /// Drive-level scores over the phase's test days.
-    pub scores: Vec<DriveScore>,
-    /// Fraction of base features kept this phase, when meaningful.
-    pub selected_fraction: Option<f64>,
-    /// The wear-out change point WEFR used this phase (grouped predictors
-    /// only).
-    pub wearout_threshold: Option<f64>,
+/// The seed of phase `phase_idx`: its sampling, rankers and forests.
+fn phase_seed(config: &ExperimentConfig, phase_idx: usize) -> u64 {
+    config.seed ^ ((phase_idx as u64).wrapping_mul(0x9E37_79B9)) ^ 0x5EED
 }
 
-/// Train `method` for one phase and score its test days (drive-level).
-///
-/// # Errors
-///
-/// Propagates sampling, selection, and training failures.
-pub fn run_phase(
+/// The training samples of `phase`'s fit range.
+fn fit_samples(
     fleet: &Fleet,
     model: DriveModel,
-    method: Method,
     config: &ExperimentConfig,
     phase: &Phase,
-    phase_idx: u64,
-) -> Result<PhaseOutcome, PipelineError> {
-    let seed = config.seed ^ (phase_idx.wrapping_mul(0x9E37_79B9)) ^ 0x5EED;
+    seed: u64,
+) -> Result<Vec<SampleRef>, PipelineError> {
     let (fit_start, fit_end) = phase.fit_range();
     let sampling = SamplingConfig {
         seed,
         ..config.sampling
     };
-    let fit_samples = collect_samples(fleet, model, fit_start, fit_end, &sampling)?;
-    let all_base = base_features(model);
+    collect_samples(fleet, model, fit_start, fit_end, &sampling)
+}
 
+/// Train `method` for one phase and score its test days (drive-level).
+/// Returns the scores and, when meaningful, the fraction of base features
+/// kept.
+///
+/// # Errors
+///
+/// Propagates sampling, selection, and training failures.
+fn run_phase(
+    fleet: &Fleet,
+    model: DriveModel,
+    method: Method,
+    config: &ExperimentConfig,
+    phase: &Phase,
+    phase_idx: usize,
+) -> Result<(Vec<DriveScore>, Option<f64>), PipelineError> {
+    let seed = phase_seed(config, phase_idx);
     let (predictor, fraction) = match method {
         Method::NoSelection => {
-            let p = train_single(fleet, &fit_samples, &all_base, config, seed)?;
+            let samples = fit_samples(fleet, model, config, phase, seed)?;
+            let p = train_single(fleet, &samples, &base_features(model), config, seed)?;
             (p, None)
         }
         Method::Selector { kind, percent } => {
-            let (matrix, labels, _) = base_matrix(fleet, model, &fit_samples)?;
+            let samples = fit_samples(fleet, model, config, phase, seed)?;
+            let (matrix, labels, _) = base_matrix(fleet, model, &samples)?;
             let ranking = kind.build(seed).rank(&matrix, &labels)?;
             let pct = match percent {
                 Some(p) => p,
-                None => tune_percent(fleet, model, &ranking, &all_base, config, phase, seed)?,
+                None => tune_percent(fleet, model, &ranking, config, phase, seed)?,
             };
-            let n = percent_to_count(pct, all_base.len())?;
-            let base: Vec<FeatureId> = ranking.order()[..n].iter().map(|&c| all_base[c]).collect();
-            let p = train_single(fleet, &fit_samples, &base, config, seed)?;
-            (p, Some(n as f64 / all_base.len() as f64))
+            let n = percent_to_count(pct, ranking.n_features())?;
+            let base = base_features_at(model, &ranking.order()[..n])?;
+            let p = train_single(fleet, &samples, &base, config, seed)?;
+            (p, Some(n as f64 / ranking.n_features() as f64))
         }
-        Method::Wefr | Method::WefrNoUpdate => {
-            let (matrix, labels, mwi) = base_matrix(fleet, model, &fit_samples)?;
-            let wefr = Wefr::new(WefrConfig {
-                seed,
-                ..config.wefr
-            });
-            let survival = wearout_survival(fleet, model, fit_end, config)?;
-            let input = if method == Method::Wefr {
-                SelectionInput {
-                    data: &matrix,
-                    labels: &labels,
-                    mwi_per_sample: Some(&mwi),
-                    survival: Some(&survival),
-                }
-            } else {
-                SelectionInput::basic(&matrix, &labels)
-            };
-            let selection = wefr.select(&input)?;
-            match &selection.wearout {
+        Method::Wefr => {
+            let wefr = WefrPhase::select(fleet, model, config, phase, seed)?;
+            match &wefr.selection.wearout {
                 Some(w) => {
-                    let threshold = w.change_point.mwi_threshold as f64;
-                    let low_base: Vec<FeatureId> =
-                        w.low.selected.iter().map(|&c| all_base[c]).collect();
-                    let high_base: Vec<FeatureId> =
-                        w.high.selected.iter().map(|&c| all_base[c]).collect();
-                    let (low_samples, high_samples) =
-                        split_samples_by_mwi(&fit_samples, &mwi, threshold);
-                    // Rebalance each group to a common class ratio so the
-                    // two models' probability scales are comparable.
-                    let low_samples = rebalance(&low_samples, &config.sampling)?;
-                    let high_samples = rebalance(&high_samples, &config.sampling)?;
-                    let low = FailurePredictor::train(
-                        fleet,
-                        &low_samples,
-                        &low_base,
-                        &predictor_config(config, seed),
-                    )?;
-                    let high = FailurePredictor::train(
-                        fleet,
-                        &high_samples,
-                        &high_base,
-                        &predictor_config(config, seed.wrapping_add(1)),
-                    )?;
                     let frac = (w.low.selected_fraction() + w.high.selected_fraction()) / 2.0;
-                    (
-                        PhasePredictor::Grouped {
-                            threshold,
-                            low,
-                            high,
-                        },
-                        Some(frac),
-                    )
+                    (wefr.grouped_predictor(fleet, model, config, w)?, Some(frac))
                 }
                 None => {
-                    let base: Vec<FeatureId> = selection
-                        .global
-                        .selected
-                        .iter()
-                        .map(|&c| all_base[c])
-                        .collect();
-                    let p = train_single(fleet, &fit_samples, &base, config, seed)?;
-                    (p, Some(selection.global.selected_fraction()))
+                    let frac = wefr.selection.global.selected_fraction();
+                    (wefr.global_predictor(fleet, model, config)?, Some(frac))
                 }
             }
         }
     };
-
-    let wearout_threshold = match &predictor {
-        PhasePredictor::Grouped { threshold, .. } => Some(*threshold),
-        PhasePredictor::Single(_) => None,
-    };
     let scores = predictor.score_phase(fleet, model, phase, config.sampling.horizon)?;
-    Ok(PhaseOutcome {
-        scores,
-        selected_fraction: fraction,
-        wearout_threshold,
-    })
+    Ok((scores, fraction))
 }
 
-/// Survival pairs for wear-out change-point detection, in priority order:
-///
-/// 1. A *measured* [`ExperimentConfig::population`] census when one is set
-///    — the documented default for paper-scale runs, where the streamed
-///    generator supplies the actual fleet's lifecycle summaries
-///    ([`smart_dataset::Census::measured`]). Like the paper's Fig. 1 this
-///    is a whole-window population statistic: each drive deployed by
-///    `as_of_day` contributes its end-of-observation `MWI_N` and whether
-///    it had failed by `as_of_day`.
-/// 2. Otherwise, a *planned* synthetic side census of
-///    [`ExperimentConfig::wearout_census_drives`] drives matching the
-///    experiment fleet's failure behaviour (the small-fleet fallback).
-/// 3. With `wearout_census_drives == 0`, the experiment fleet itself.
+/// WEFR's one selection for a phase: Algorithm 1 over the phase's fit
+/// samples, with the change point read from [`wearout_survival`]. Both
+/// Exp#3 arms train from it.
+struct WefrPhase {
+    seed: u64,
+    samples: Vec<SampleRef>,
+    /// `MWI_N` of each fit sample.
+    mwi: Vec<f64>,
+    selection: WefrSelection,
+}
+
+impl WefrPhase {
+    fn select(
+        fleet: &Fleet,
+        model: DriveModel,
+        config: &ExperimentConfig,
+        phase: &Phase,
+        seed: u64,
+    ) -> Result<Self, PipelineError> {
+        let samples = fit_samples(fleet, model, config, phase, seed)?;
+        let (matrix, labels, mwi) = base_matrix(fleet, model, &samples)?;
+        let survival = wearout_survival(fleet, model, phase.fit_range().1, config)?;
+        let selection = Wefr::new(WefrConfig { seed }).select(&SelectionInput {
+            data: &matrix,
+            labels: &labels,
+            mwi_per_sample: Some(&mwi),
+            survival: Some(&survival),
+        })?;
+        Ok(WefrPhase {
+            seed,
+            samples,
+            mwi,
+            selection,
+        })
+    }
+
+    /// One predictor on the global selection: WEFR without wear-out
+    /// updating, and WEFR itself when the split does not fire.
+    fn global_predictor(
+        &self,
+        fleet: &Fleet,
+        model: DriveModel,
+        config: &ExperimentConfig,
+    ) -> Result<PhasePredictor, PipelineError> {
+        let base = base_features_at(model, &self.selection.global.selected)?;
+        train_single(fleet, &self.samples, &base, config, self.seed)
+    }
+
+    /// One predictor per wear-out group of `w`, each on its group's fit
+    /// samples, rebalanced to a common class ratio so the two models'
+    /// probability scales are comparable.
+    fn grouped_predictor(
+        &self,
+        fleet: &Fleet,
+        model: DriveModel,
+        config: &ExperimentConfig,
+        w: &WearoutSelection,
+    ) -> Result<PhasePredictor, PipelineError> {
+        let threshold = w.change_point.mwi_threshold as f64;
+        let split = split_rows_by_mwi(&self.mwi, threshold);
+        let train = |group: &GroupSelection, rows: &[usize], seed| {
+            let samples: Vec<SampleRef> = rows.iter().map(|&r| self.samples[r]).collect();
+            FailurePredictor::train(
+                fleet,
+                &rebalance(&samples, &config.sampling)?,
+                &base_features_at(model, &group.selected)?,
+                &predictor_config(config, seed),
+            )
+        };
+        Ok(PhasePredictor::Grouped {
+            threshold,
+            low: train(&w.low, &split.low_rows, self.seed)?,
+            high: train(&w.high, &split.high_rows, self.seed.wrapping_add(1))?,
+        })
+    }
+}
+
+/// Survival pairs for wear-out change-point detection: a *planned*
+/// synthetic side census of [`WEAROUT_CENSUS_DRIVES`] drives of `model`
+/// over the days up to `as_of_day`, with the experiment fleet's failure
+/// scale, initial ages and arrivals.
 ///
 /// # Errors
 ///
@@ -467,21 +445,11 @@ pub fn wearout_survival(
     as_of_day: u32,
     config: &ExperimentConfig,
 ) -> Result<Vec<(f64, bool)>, PipelineError> {
-    if let Some(population) = &config.population {
-        return Ok(population
-            .summaries_of_model(model)
-            .filter(|s| s.deploy_day <= as_of_day)
-            .map(|s| (s.final_mwi_n, s.failure.is_some_and(|f| f.day <= as_of_day)))
-            .collect());
-    }
-    if config.wearout_census_drives == 0 {
-        return Ok(survival_pairs(fleet, model, as_of_day));
-    }
     let days = (as_of_day + 1).max(120);
     let census_config = smart_dataset::FleetConfig::builder()
         .days(days)
         .seed(config.seed ^ 0xCE25)
-        .drives(model, config.wearout_census_drives)
+        .drives(model, WEAROUT_CENSUS_DRIVES)
         .failure_scale(fleet.config().effective_failure_scale(model))
         .max_initial_age_days(fleet.config().max_initial_age_days())
         .arrival_fraction(fleet.config().arrival_fraction())
@@ -530,26 +498,20 @@ fn tune_percent(
     fleet: &Fleet,
     model: DriveModel,
     ranking: &wefr_core::FeatureRanking,
-    all_base: &[FeatureId],
     config: &ExperimentConfig,
     phase: &Phase,
     seed: u64,
 ) -> Result<f64, PipelineError> {
-    let (fit_start, fit_end) = phase.fit_range();
     let (val_start, val_end) = phase.validation_range();
-    let sampling = SamplingConfig {
-        seed: seed ^ 0x7A1,
-        ..config.sampling
-    };
-    let fit_samples = collect_samples(fleet, model, fit_start, fit_end, &sampling)?;
+    let fit_samples = fit_samples(fleet, model, config, phase, seed ^ 0x7A1)?;
 
     let mut best = (
         config.tune_grid.first().copied().unwrap_or(1.0),
         f64::NEG_INFINITY,
     );
     for &pct in &config.tune_grid {
-        let n = percent_to_count(pct, all_base.len())?;
-        let base: Vec<FeatureId> = ranking.order()[..n].iter().map(|&c| all_base[c]).collect();
+        let n = percent_to_count(pct, ranking.n_features())?;
+        let base = base_features_at(model, &ranking.order()[..n])?;
         let predictor =
             FailurePredictor::train(fleet, &fit_samples, &base, &predictor_config(config, seed))?;
         let scores = score_phase(
@@ -562,7 +524,7 @@ fn tune_percent(
         );
         // A validation slice with no failures cannot rank candidates; skip.
         let Ok(scores) = scores else { continue };
-        let Ok((metrics, _)) = metrics_at_fixed_recall(&scores, config.recall_for(model)) else {
+        let Ok((metrics, _)) = metrics_at_fixed_recall(&scores, paper_target_recall(model)) else {
             continue;
         };
         if metrics.f_half > best.1 {
@@ -618,24 +580,6 @@ fn rebalance(
     Ok(kept.into_iter().map(|i| samples[i]).collect())
 }
 
-/// Split samples into low/high wear-out groups by per-sample `MWI_N`.
-fn split_samples_by_mwi(
-    samples: &[SampleRef],
-    mwi: &[f64],
-    threshold: f64,
-) -> (Vec<SampleRef>, Vec<SampleRef>) {
-    let mut low = Vec::new();
-    let mut high = Vec::new();
-    for (s, &m) in samples.iter().zip(mwi) {
-        if m <= threshold {
-            low.push(*s);
-        } else {
-            high.push(*s);
-        }
-    }
-    (low, high)
-}
-
 /// One point of the Exp#2 fixed-percentage sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
@@ -682,8 +626,7 @@ pub fn run_percentage_sweep(
     config: &ExperimentConfig,
 ) -> Result<SweepResult, PipelineError> {
     let phases = paper_phases(fleet.config().days())?;
-    let all_base = base_features(model);
-    let n_features = all_base.len();
+    let n_features = base_features(model).len();
 
     // Per phase: the ensemble ranking, WEFR's chosen count, and the fit
     // samples (shared across all sweep points).
@@ -696,19 +639,10 @@ pub fn run_percentage_sweep(
     }
     let mut preps = Vec::with_capacity(phases.len());
     for (phase_idx, phase) in phases.iter().enumerate() {
-        let seed = config.seed ^ ((phase_idx as u64).wrapping_mul(0x9E37_79B9)) ^ 0x5EED;
-        let (fit_start, fit_end) = phase.fit_range();
-        let sampling = SamplingConfig {
-            seed,
-            ..config.sampling
-        };
-        let fit_samples = collect_samples(fleet, model, fit_start, fit_end, &sampling)?;
+        let seed = phase_seed(config, phase_idx);
+        let fit_samples = fit_samples(fleet, model, config, phase, seed)?;
         let (matrix, labels, _) = base_matrix(fleet, model, &fit_samples)?;
-        let wefr = Wefr::new(WefrConfig {
-            seed,
-            ..config.wefr
-        });
-        let selection = wefr.select_group(&matrix, &labels)?;
+        let selection = Wefr::new(WefrConfig { seed }).select_group(&matrix, &labels)?;
         preps.push(PhasePrep {
             order: selection.ensemble.order.clone(),
             chosen: selection.selected.len(),
@@ -722,7 +656,7 @@ pub fn run_percentage_sweep(
         let mut pooled = Vec::new();
         for prep in &preps {
             let n = count_for(prep).clamp(1, n_features);
-            let base: Vec<FeatureId> = prep.order[..n].iter().map(|&c| all_base[c]).collect();
+            let base = base_features_at(model, &prep.order[..n])?;
             let predictor = FailurePredictor::train(
                 fleet,
                 &prep.fit_samples,
@@ -738,7 +672,7 @@ pub fn run_percentage_sweep(
                 config.sampling.horizon,
             )?);
         }
-        let (metrics, _) = metrics_at_fixed_recall(&pooled, config.recall_for(model))?;
+        let (metrics, _) = metrics_at_fixed_recall(&pooled, paper_target_recall(model))?;
         Ok(metrics.f_half)
     };
 
@@ -806,27 +740,36 @@ pub fn run_updating_comparison(
     let mut no_update_low_scores = Vec::new();
     let mut thresholds = Vec::new();
 
+    let horizon = config.sampling.horizon;
     for (phase_idx, phase) in phases.iter().enumerate() {
-        let wefr = run_phase(fleet, model, Method::Wefr, config, phase, phase_idx as u64)?;
-        let no_update = run_phase(
-            fleet,
-            model,
-            Method::WefrNoUpdate,
-            config,
-            phase,
-            phase_idx as u64,
-        )?;
-        if let Some(threshold) = wefr.wearout_threshold {
-            let cohort = low_cohort_indices(fleet, model, phase, threshold);
-            wefr_low_scores.extend(restrict_scores(&wefr.scores, &cohort));
-            no_update_low_scores.extend(restrict_scores(&no_update.scores, &cohort));
-        }
-        thresholds.push(wefr.wearout_threshold);
-        wefr_scores.extend(wefr.scores);
-        no_update_scores.extend(no_update.scores);
+        // One selection serves both arms: WEFR (No update) is its global
+        // selection, which is also WEFR whenever the split does not fire.
+        let wefr = WefrPhase::select(fleet, model, config, phase, phase_seed(config, phase_idx))?;
+        let no_update = wefr
+            .global_predictor(fleet, model, config)?
+            .score_phase(fleet, model, phase, horizon)?;
+        let threshold = match &wefr.selection.wearout {
+            Some(w) => {
+                let threshold = w.change_point.mwi_threshold as f64;
+                let scores = wefr
+                    .grouped_predictor(fleet, model, config, w)?
+                    .score_phase(fleet, model, phase, horizon)?;
+                let cohort = low_cohort_indices(fleet, model, phase, threshold);
+                wefr_low_scores.extend(restrict_scores(&scores, &cohort));
+                no_update_low_scores.extend(restrict_scores(&no_update, &cohort));
+                wefr_scores.extend(scores);
+                Some(threshold)
+            }
+            None => {
+                wefr_scores.extend_from_slice(&no_update);
+                None
+            }
+        };
+        thresholds.push(threshold);
+        no_update_scores.extend(no_update);
     }
 
-    let recall = config.recall_for(model);
+    let recall = paper_target_recall(model);
     let (wefr_all, _) = metrics_at_fixed_recall(&wefr_scores, recall)?;
     let (no_update_all, _) = metrics_at_fixed_recall(&no_update_scores, recall)?;
     let low_pair = match (
@@ -868,7 +811,8 @@ pub fn low_cohort_indices(
         .filter(|(_, d)| d.deploy_day <= phase.test_end && d.last_day() >= phase.test_start)
         .filter(|(_, d)| {
             let day = d.last_day().min(phase.test_end);
-            d.value_on(day, mwi).is_some_and(|m| m <= threshold)
+            d.value_on(day, mwi)
+                .is_some_and(|m| is_low_wear(m, threshold))
         })
         .map(|(i, _)| i)
         .collect()
@@ -919,7 +863,7 @@ mod tests {
             .label(),
             "XGBoost"
         );
-        assert_eq!(Method::WefrNoUpdate.label(), "WEFR (No update)");
+        assert_eq!(Method::Wefr.label(), "WEFR");
     }
 
     #[test]
@@ -959,74 +903,50 @@ mod tests {
     }
 
     #[test]
-    fn wefr_no_update_runs() {
-        let fleet = quick_fleet();
-        let config = ExperimentConfig::quick(3);
-        let result = run_method(&fleet, DriveModel::Mc1, Method::WefrNoUpdate, &config).unwrap();
-        assert!(result.selected_fraction.unwrap() <= 1.0);
-        assert!(result.overall.tp + result.overall.fn_ > 0);
-    }
-
-    #[test]
-    fn split_samples_by_mwi_partitions() {
-        let samples: Vec<SampleRef> = (0..6)
-            .map(|i| SampleRef {
-                drive_index: i,
-                day: 0,
-                label: false,
-            })
-            .collect();
-        let mwi = vec![10.0, 60.0, 30.0, 80.0, 40.0, 90.0];
-        let (low, high) = split_samples_by_mwi(&samples, &mwi, 40.0);
-        assert_eq!(low.len(), 3);
-        assert_eq!(high.len(), 3);
-    }
-
-    #[test]
     fn wearout_survival_uses_census_or_fleet() {
         let fleet = quick_fleet();
-        let mut config = ExperimentConfig::quick(1);
-        config.wearout_census_drives = 0;
-        let from_fleet = wearout_survival(&fleet, DriveModel::Mc1, 300, &config).unwrap();
-        assert_eq!(
-            from_fleet.len(),
-            fleet
-                .drives_of_model(DriveModel::Mc1)
-                .filter(|d| d.deploy_day <= 300)
-                .count()
-        );
-        config.wearout_census_drives = 500;
+        let config = ExperimentConfig::quick(1);
         let from_census = wearout_survival(&fleet, DriveModel::Mc1, 300, &config).unwrap();
-        assert_eq!(from_census.len(), 500);
+        assert_eq!(from_census.len(), WEAROUT_CENSUS_DRIVES as usize);
         // Census failure rate must resemble the experiment fleet's scale
         // (same effective failure multiplier), not the nominal AFR.
         let census_failures = from_census.iter().filter(|(_, f)| *f).count();
         assert!(census_failures > 10, "census failures = {census_failures}");
     }
 
-    #[test]
-    fn wearout_survival_prefers_measured_population() {
-        let fleet = quick_fleet();
-        // A measured census over the experiment fleet's own config: the
-        // highest-priority source, consulted even though the planned-census
-        // knob is nonzero.
-        let population =
-            smart_dataset::Census::measured(fleet.config(), &smart_dataset::GenConfig::default())
-                .unwrap();
-        let config = ExperimentConfig::quick(1).with_population(population);
-        assert_eq!(config.wearout_census_drives, 4000);
-        let from_population = wearout_survival(&fleet, DriveModel::Mc1, 300, &config).unwrap();
-        let deployed: Vec<_> = fleet
-            .drives_of_model(DriveModel::Mc1)
-            .filter(|d| d.deploy_day <= 300)
+    /// `fleet` with `MWI_N` missing (NaN) on every third day of every other
+    /// drive, as on days a vendor batch does not report it.
+    fn with_missing_mwi(fleet: &Fleet) -> Fleet {
+        let mwi = FeatureId::normalized(SmartAttribute::Mwi);
+        let records = fleet
+            .drives()
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let features = base_features(d.model);
+                let values = (d.deploy_day..=d.last_day())
+                    .flat_map(|day| {
+                        features.iter().map(move |&f| {
+                            if f == mwi && i % 2 == 0 && day % 3 == 0 {
+                                f32::NAN
+                            } else {
+                                d.value_on(day, f).unwrap() as f32
+                            }
+                        })
+                    })
+                    .collect();
+                smart_dataset::DriveRecord::from_flat_values(
+                    d.id,
+                    d.model,
+                    d.deploy_day,
+                    d.initial_age_days,
+                    d.failure,
+                    values,
+                    d.n_days(),
+                )
+            })
             .collect();
-        assert_eq!(from_population.len(), deployed.len());
-        // The measured population is the actual fleet: pairs agree drive
-        // for drive on end-of-observation MWI_N and failed-by-day status.
-        for ((mwi, failed), drive) in from_population.iter().zip(&deployed) {
-            assert_eq!(*mwi, drive.final_mwi_n().unwrap());
-            assert_eq!(*failed, drive.failure.is_some_and(|f| f.day <= 300));
-        }
+        Fleet::from_records(fleet.config().clone(), records)
     }
 
     #[test]
@@ -1069,45 +989,54 @@ mod tests {
 
         // The oracle: each drive's first maximum over its test days of
         // `score_drive_day`, from the model the day's MWI_N routes to, then
-        // quantile normalization grouped by the route of the peak day.
-        let mut expected = Vec::new();
-        let mut from_low = Vec::new();
-        for (drive_index, drive) in fleet.drives().iter().enumerate() {
-            let start = phase.test_start.max(drive.deploy_day);
-            let end = phase.test_end.min(drive.last_day());
-            if drive.model != model || start > end {
-                continue;
-            }
-            let (mut best, mut peak_day, mut peak_low) = (f64::NEG_INFINITY, start, true);
-            for day in start..=end {
-                let is_low = drive.value_on(day, mwi).unwrap() <= threshold;
-                let predictor = if is_low { &low } else { &high };
-                let score = predictor.score_drive_day(drive, day).unwrap();
-                if score > best {
-                    (best, peak_day, peak_low) = (score, day, is_low);
+        // quantile normalization grouped by the route of the peak day. A day
+        // without an MWI_N reading is high wear, as in training.
+        let oracle = |fleet: &Fleet| {
+            let mut expected = Vec::new();
+            let mut from_low = Vec::new();
+            for (drive_index, drive) in fleet.drives().iter().enumerate() {
+                let start = phase.test_start.max(drive.deploy_day);
+                let end = phase.test_end.min(drive.last_day());
+                if drive.model != model || start > end {
+                    continue;
                 }
+                let (mut best, mut peak_day, mut peak_low) = (f64::NEG_INFINITY, start, true);
+                for day in start..=end {
+                    let m = drive.value_on(day, mwi).unwrap();
+                    let is_low = !m.is_nan() && m <= threshold;
+                    let predictor = if is_low { &low } else { &high };
+                    let score = predictor.score_drive_day(drive, day).unwrap();
+                    if score > best {
+                        (best, peak_day, peak_low) = (score, day, is_low);
+                    }
+                }
+                let actual = drive.failure.is_some_and(|f| {
+                    f.day >= phase.test_start && f.day <= phase.test_end + horizon
+                });
+                expected.push(DriveScore {
+                    drive_index,
+                    max_score: best,
+                    peak_day,
+                    actual,
+                });
+                from_low.push(peak_low);
             }
-            let actual = drive
-                .failure
-                .is_some_and(|f| f.day >= phase.test_start && f.day <= phase.test_end + horizon);
-            expected.push(DriveScore {
-                drive_index,
-                max_score: best,
-                peak_day,
-                actual,
-            });
-            from_low.push(peak_low);
-        }
-        assert!(from_low.contains(&true) && from_low.contains(&false));
-        quantile_normalize(&mut expected, &from_low);
+            assert!(from_low.contains(&true) && from_low.contains(&false));
+            quantile_normalize(&mut expected, &from_low);
+            expected
+        };
+        let missing = with_missing_mwi(&fleet);
+        let expected = [oracle(&fleet), oracle(&missing)];
 
         let grouped = PhasePredictor::Grouped {
             threshold,
             low,
             high,
         };
-        let scores = grouped.score_phase(&fleet, model, &phase, horizon).unwrap();
-        assert_eq!(scores, expected);
+        for (fleet, expected) in [&fleet, &missing].into_iter().zip(expected) {
+            let scores = grouped.score_phase(fleet, model, &phase, horizon).unwrap();
+            assert_eq!(scores, expected);
+        }
     }
 
     #[test]

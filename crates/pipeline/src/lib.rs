@@ -62,7 +62,9 @@ pub use fig1::{
     FIG1_CENSUS_TOTAL, FIG1_MIN_BUCKET, FIG1_SEED,
 };
 pub use label::{SampleRef, PAPER_HORIZON_DAYS};
-pub use matrix::{base_features, base_matrix, collect_samples, survival_pairs, SamplingConfig};
+pub use matrix::{
+    base_features, base_features_at, base_matrix, collect_samples, survival_pairs, SamplingConfig,
+};
 pub use split::{paper_phases, Phase};
 pub use streaming::{
     generated_base_matrix, streaming_base_matrix, GeneratedMatrix, StreamedMatrix,

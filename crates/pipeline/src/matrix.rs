@@ -22,6 +22,31 @@ pub fn base_features(model: DriveModel) -> Vec<FeatureId> {
         .collect()
 }
 
+/// The features behind `columns` of `model`'s base matrix, in order: how a
+/// selection's column indices become the features a predictor trains on.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::InvalidInput`] for a column past the model's
+/// base features.
+pub fn base_features_at(
+    model: DriveModel,
+    columns: &[usize],
+) -> Result<Vec<FeatureId>, PipelineError> {
+    let all = base_features(model);
+    columns
+        .iter()
+        .map(|&c| {
+            all.get(c).copied().ok_or_else(|| {
+                PipelineError::invalid(format!(
+                    "column {c} is past the {} base features of {model}",
+                    all.len()
+                ))
+            })
+        })
+        .collect()
+}
+
 /// Sampling policy for building training matrices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
@@ -349,6 +374,19 @@ mod tests {
         assert_eq!(features.len(), 2 * DriveModel::Mc1.attributes().len());
         assert!(features.contains(&FeatureId::raw(SmartAttribute::Oce)));
         assert!(features.contains(&FeatureId::normalized(SmartAttribute::Oce)));
+    }
+
+    #[test]
+    fn base_features_at_maps_columns_and_rejects_one_past_the_end() {
+        let all = base_features(DriveModel::Mc1);
+        let picked = base_features_at(DriveModel::Mc1, &[3, 0]).unwrap();
+        assert_eq!(picked, vec![all[3], all[0]]);
+        let err = base_features_at(DriveModel::Mc1, &[0, all.len()]).unwrap_err();
+        let expected = format!("column {0} is past the {0} base features of MC1", all.len());
+        assert!(
+            matches!(&err, PipelineError::InvalidInput { message } if *message == expected),
+            "{err:?}"
+        );
     }
 
     #[test]

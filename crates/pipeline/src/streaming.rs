@@ -95,8 +95,9 @@ pub struct GeneratedMatrix {
     pub labels: Vec<bool>,
     /// `MWI_N` per sample row (for wear-out grouping).
     pub mwi: Vec<f64>,
-    /// Lifecycle census measured from every streamed drive (all models) —
-    /// ready for [`crate::experiment::ExperimentConfig::with_population`].
+    /// Lifecycle census measured from every streamed drive (all models):
+    /// the population whose survival pairs feed WEFR's change point at
+    /// paper scale, and Fig. 1's census.
     pub census: Census,
     /// Generation counters for the final streaming pass.
     pub stats: GenStats,

@@ -17,8 +17,8 @@ use smart_dataset::{
     IngestStats, TroubleTicket,
 };
 use smart_pipeline::{
-    base_features, base_matrix, collect_samples, survival_pairs, FailurePredictor, PredictorConfig,
-    SamplingConfig,
+    base_features_at, base_matrix, collect_samples, survival_pairs, FailurePredictor,
+    PredictorConfig, SamplingConfig,
 };
 use sync::{Arc, Published};
 use wefr_core::wearout::detect_wearout_threshold;
@@ -112,7 +112,6 @@ pub struct CycleReport {
 #[derive(Debug)]
 pub struct Daemon {
     config: ServeConfig,
-    base: Vec<smart_dataset::FeatureId>,
     monitor: UpdateMonitor,
     /// Last day a cycle was *attempted* (recorded or skipped). Skipped
     /// checks never reach the monitor, so without this a data-starved
@@ -128,7 +127,6 @@ pub struct Daemon {
 impl Daemon {
     /// A daemon with no drives and no selection.
     pub fn new(config: ServeConfig) -> Self {
-        let base = base_features(config.model);
         let monitor = UpdateMonitor::new(config.period_days, config.tolerance);
         let view = View {
             model: config.model,
@@ -140,7 +138,6 @@ impl Daemon {
         let published = Arc::new(Published::new(Arc::new(view.clone())));
         Daemon {
             config,
-            base,
             monitor,
             last_attempt_day: None,
             view,
@@ -280,14 +277,9 @@ impl Daemon {
         }
 
         let survival = survival_pairs(&fleet, self.config.model, d);
-        let threshold = detect_wearout_threshold(
-            &survival,
-            &self.config.wefr.bocpd,
-            self.config.wefr.z_threshold,
-            self.config.wefr.survival_min_bucket,
-        )
-        .map_err(WefrError::from)?
-        .map(|cp| cp.mwi_threshold);
+        let threshold = detect_wearout_threshold(&survival)
+            .map_err(WefrError::from)?
+            .map(|cp| cp.mwi_threshold);
 
         let decision = self.monitor.record_check(d, threshold);
         span.record("reselected", u64::from(decision.requires_reselection()));
@@ -300,12 +292,7 @@ impl Daemon {
                 survival: Some(&survival),
             };
             let selection = Wefr::new(self.config.wefr).select(&input)?;
-            let selected: Vec<_> = selection
-                .global
-                .selected
-                .iter()
-                .filter_map(|&i| self.base.get(i).copied())
-                .collect();
+            let selected = base_features_at(self.config.model, &selection.global.selected)?;
             let predictor =
                 FailurePredictor::train(&fleet, &samples, &selected, &self.config.predictor)?;
             self.view.selection = Some(Arc::new(Selection {

@@ -913,15 +913,17 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
+/// A guard taken apart: its mutex, the real lock's guard, and the
+/// scheduler's record of the hold.
+type GuardParts<'a, T> = (
+    &'a Mutex<T>,
+    Option<std::sync::MutexGuard<'a, T>>,
+    Option<(Ctx, usize)>,
+);
+
 /// Dismantle a guard without running its `Drop` (for `Condvar::wait`,
 /// which hands the lock back to the scheduler itself).
-fn guard_into_parts<T>(
-    mut guard: MutexGuard<'_, T>,
-) -> (
-    &Mutex<T>,
-    Option<std::sync::MutexGuard<'_, T>>,
-    Option<(Ctx, usize)>,
-) {
+fn guard_into_parts<T>(mut guard: MutexGuard<'_, T>) -> GuardParts<'_, T> {
     let lock = guard.lock;
     let inner = guard.inner.take();
     let model = guard.model.take();

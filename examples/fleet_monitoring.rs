@@ -10,7 +10,8 @@
 
 use smart_dataset::{DriveModel, Fleet, FleetConfig};
 use smart_pipeline::{
-    base_matrix, collect_samples, survival_pairs, FailurePredictor, PredictorConfig, SamplingConfig,
+    base_features_at, base_matrix, collect_samples, survival_pairs, FailurePredictor,
+    PredictorConfig, SamplingConfig,
 };
 use wefr_core::{SelectionInput, UpdateMonitor, Wefr};
 
@@ -37,13 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let survival = survival_pairs(&fleet, DriveModel::Mc1, day);
-        let threshold = wefr_core::wearout::detect_wearout_threshold(
-            &survival,
-            &smart_changepoint::BocpdConfig::default(),
-            smart_changepoint::PAPER_Z_THRESHOLD,
-            3,
-        )?
-        .map(|cp| cp.mwi_threshold);
+        let threshold =
+            wefr_core::wearout::detect_wearout_threshold(&survival)?.map(|cp| cp.mwi_threshold);
         let decision = monitor.record_check(day, threshold);
         if decision.requires_reselection() {
             reselections += 1;
@@ -69,12 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mwi_per_sample: Some(&mwi),
         survival: Some(&survival),
     })?;
-    let base: Vec<smart_dataset::FeatureId> = selection
-        .global
-        .selected_names
-        .iter()
-        .map(|n| n.parse().expect("feature names round-trip"))
-        .collect();
+    let base = base_features_at(DriveModel::Mc1, &selection.global.selected)?;
     println!("selected features: {:?}", selection.global.selected_names);
 
     let predictor = FailurePredictor::train(

@@ -15,7 +15,7 @@
 use smart_dataset::{DriveModel, Fleet, FleetConfig};
 use smart_pipeline::evaluate::metrics_at_threshold;
 use smart_pipeline::{
-    base_features, base_matrix, collect_samples, metrics_at_fixed_recall, score_phase,
+    base_features_at, base_matrix, collect_samples, metrics_at_fixed_recall, score_phase,
     survival_pairs, FailurePredictor, PredictorConfig, SamplingConfig,
 };
 use wefr_core::{SelectionInput, Wefr};
@@ -92,13 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Train a Random Forest on the selected features, expanded to the
     //    full learning set, over the first ten months.
-    let all_base = base_features(DriveModel::Mc1);
-    let selected_base: Vec<_> = selection
-        .global
-        .selected
-        .iter()
-        .map(|&c| all_base[c])
-        .collect();
+    let selected_base = base_features_at(DriveModel::Mc1, &selection.global.selected)?;
     let train_samples =
         collect_samples(&fleet, DriveModel::Mc1, 0, 299, &SamplingConfig::default())?;
     let predictor_config = PredictorConfig {

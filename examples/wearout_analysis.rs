@@ -7,6 +7,7 @@
 
 use smart_changepoint::survival::SurvivalCurve;
 use smart_dataset::{Census, DriveModel, FleetConfig};
+use wefr_core::wearout::SURVIVAL_MIN_BUCKET;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let census = Census::generate(&FleetConfig::proportional(20_000, 7)?);
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             census
                 .summaries_of_model(model)
                 .map(|s| (s.final_mwi_n, s.is_failed())),
-            3,
+            SURVIVAL_MIN_BUCKET,
         );
         print!("{model}: ");
         match curve.mwi_range() {

@@ -18,6 +18,9 @@ cargo build --release --offline --workspace --all-targets
 step "cargo clippy: every target, warnings are errors"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+step "cargo clippy: the model checker's own code (smart-sync, model feature)"
+cargo clippy --offline -p smart-sync --features model --all-targets -- -D warnings
+
 step "cargo test -q --offline"
 cargo test -q --offline --workspace
 

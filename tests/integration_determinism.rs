@@ -9,7 +9,8 @@ use smart_dataset::{
 use smart_pipeline::experiment::{run_method, ExperimentConfig, Method};
 use smart_pipeline::{base_matrix, collect_samples, streaming_base_matrix, SamplingConfig};
 use smart_trees::{BoostingConfig, ForestConfig, GradientBoosting, RandomForest, SplitStrategy};
-use wefr_core::{SelectionInput, Wefr, WefrConfig};
+use wefr_core::rankers::default_rankers_with_strategy;
+use wefr_core::{SelectionInput, Wefr};
 
 fn config(seed: u64) -> FleetConfig {
     FleetConfig::builder()
@@ -249,11 +250,7 @@ fn wefr_ranking_matches_between_exact_and_histogram_on_fleet_data() {
     // different order per engine, which can swap essentially-tied noise
     // features — see DESIGN.md on binned training.)
     let select = |strategy: SplitStrategy| {
-        let wefr = Wefr::new(WefrConfig {
-            seed: 13,
-            split_strategy: strategy,
-            ..WefrConfig::default()
-        });
+        let wefr = Wefr::with_rankers(default_rankers_with_strategy(13, strategy));
         wefr.select(&SelectionInput::basic(&matrix, &labels))
             .unwrap()
     };
