@@ -20,14 +20,21 @@
 //! With `WEFR_OBS_ALLOC=1` and the `obs-alloc` feature, every row also
 //! reports the median MiB allocated per call inside its spans, attributing
 //! heap pressure to the same stages the wall-clock column times.
+//!
+//! Every row times MC1, so a run whose `--model` flags leave MC1 out is a
+//! usage error (exit 2). A fleet too small for a row's call (say, no
+//! failures to rank by) fails the run with exit 1; a survival curve too
+//! short for binary segmentation skips the two change-point rows with a
+//! note instead.
 
 use smart_changepoint::binseg;
-use smart_changepoint::bocpd::{change_probabilities, BocpdConfig};
+use smart_changepoint::bocpd::change_probabilities;
 use smart_changepoint::survival::SurvivalCurve;
 use smart_dataset::csv::{export_smart_csv, import_smart_csv};
 use smart_dataset::{import_smart_csv_sharded, tickets_from_summaries, DriveModel, IngestConfig};
 use smart_pipeline::experiment::SelectorKind;
 use smart_trees::{RandomForest, SplitStrategy};
+use std::error::Error;
 use std::hint::black_box;
 use wefr_bench::{characterization_matrix, print_header, RunOptions};
 use wefr_core::rankers::forest::ForestRanker;
@@ -102,15 +109,16 @@ impl Stopwatch {
     /// the row `label` and one `label/stage` row per span name in
     /// `stages` (a stage that runs several times per call, e.g. once per
     /// wear-out group, sums within its round), each the median over
-    /// rounds divided by `batch`. Returns the `label` row's seconds.
-    fn time<T>(
+    /// rounds divided by `batch`. Returns the `label` row's seconds, or
+    /// the warm-up call's error, pushing no row.
+    fn time<T, E>(
         &mut self,
         label: &str,
         batch: u32,
         stages: &[&str],
-        mut call: impl FnMut() -> T,
-    ) -> f64 {
-        call();
+        mut call: impl FnMut() -> Result<T, E>,
+    ) -> Result<f64, E> {
+        call()?;
         let names: Vec<&str> = std::iter::once(label)
             .chain(stages.iter().copied())
             .collect();
@@ -120,7 +128,7 @@ impl Stopwatch {
             {
                 let _round = telemetry::span!(label);
                 for _ in 0..batch {
-                    black_box(call());
+                    let _ = black_box(call());
                 }
             }
             let report = telemetry::snapshot("exp4_runtime");
@@ -156,7 +164,7 @@ impl Stopwatch {
                 alloc_mib,
             });
         }
-        self.rows[first].median_seconds
+        Ok(self.rows[first].median_seconds)
     }
 }
 
@@ -167,6 +175,17 @@ fn median(mut values: Vec<u64>) -> u64 {
 
 fn main() {
     let opts = RunOptions::from_args();
+    if !opts.models().contains(&DriveModel::Mc1) {
+        eprintln!("error: exp4_runtime times MC1, which the --model flags leave out");
+        std::process::exit(2);
+    }
+    if let Err(e) = run(&opts) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run(opts: &RunOptions) -> Result<(), Box<dyn Error>> {
     let fleet = opts.fleet();
     // Record spans regardless of WEFR_LOG: the span tree is the stopwatch.
     telemetry::set_collect(true);
@@ -193,9 +212,7 @@ fn main() {
         let ranker = kind.build(opts.seed);
         // Pearson takes about half a millisecond per call at Exp#4 scale.
         let batch = if kind == SelectorKind::Pearson { 20 } else { 1 };
-        let seconds = watch.time(kind.label(), batch, &[], || {
-            ranker.rank(&matrix, &labels).expect("two-class data")
-        });
+        let seconds = watch.time(kind.label(), batch, &[], || ranker.rank(&matrix, &labels))?;
         slowest = slowest.max(seconds);
         if kind == SelectorKind::RandomForest {
             permutation_seconds = seconds;
@@ -211,29 +228,35 @@ fn main() {
     };
     // The per-stage rows read the same span tree the production path
     // records.
-    let wefr_seconds = watch.time("WEFR", 1, &WEFR_STAGES, || {
-        wefr.select(&input).expect("selection succeeds")
-    });
+    let wefr_seconds = watch.time("WEFR", 1, &WEFR_STAGES, || wefr.select(&input))?;
 
     // Ablation: the Random Forest selector above ranks by permutation
     // importance; the same forest ranked by impurity importance.
     let impurity = ForestRanker::with_impurity(opts.seed);
     let impurity_seconds = watch.time("rf_importance/impurity", 1, &[], || {
-        impurity.rank(&matrix, &labels).expect("two-class data")
-    });
+        impurity.rank(&matrix, &labels)
+    })?;
 
     // Ablation: BOCPD against binary segmentation on MC1's smoothed
     // survival curve, built from the pairs WEFR's change-point stage reads.
+    // A small fleet's curve can be too short for binary segmentation (4
+    // points a side); then neither row runs.
     let rates =
         SurvivalCurve::from_drives(survival.iter().copied(), SURVIVAL_MIN_BUCKET).smoothed_rates();
-    let bocpd = BocpdConfig::default();
-    let bocpd_seconds = watch.time("changepoint/bocpd", 100, &[], || {
-        change_probabilities(black_box(&rates), &bocpd)
-            .expect("survival curve of at least 3 points")
-    });
-    let binseg_seconds = watch.time("changepoint/binseg", 10_000, &[], || {
-        binseg::best_split(black_box(&rates), 4).expect("survival curve of at least 8 points")
-    });
+    let change_point_seconds = match binseg::best_split(&rates) {
+        Ok(_) => Some((
+            watch.time("changepoint/bocpd", 100, &[], || {
+                change_probabilities(black_box(&rates))
+            })?,
+            watch.time("changepoint/binseg", 10_000, &[], || {
+                binseg::best_split(black_box(&rates))
+            })?,
+        )),
+        Err(e) => {
+            println!("changepoint/bocpd and changepoint/binseg skipped: {e}");
+            None
+        }
+    };
 
     // Paired prediction-model trainings: the same forest, once per split
     // engine. The histogram engine is the production default; the exact
@@ -245,19 +268,20 @@ fn main() {
     .map(|(label, strategy)| {
         let config = opts.rf_train_config(strategy);
         watch.time(label, 1, &[], || {
-            RandomForest::fit(&matrix, &labels, &config).expect("two-class data")
+            RandomForest::fit(&matrix, &labels, &config)
         })
     });
+    let (exact_seconds, histogram_seconds) = (exact_seconds?, histogram_seconds?);
 
     // Paired ingestion timings: the single-threaded CSV reader versus the
     // sharded streaming reader at its default worker count, on the same
     // in-memory export.
     let tickets = tickets_from_summaries(&fleet.summaries());
     let mut csv = Vec::new();
-    export_smart_csv(&fleet, &mut csv).expect("in-memory export");
+    export_smart_csv(&fleet, &mut csv)?;
     let single_seconds = watch.time("ingest/single", 1, &[], || {
-        import_smart_csv(csv.as_slice(), &tickets, fleet.config().clone()).expect("well-formed CSV")
-    });
+        import_smart_csv(csv.as_slice(), &tickets, fleet.config().clone())
+    })?;
     let sharded_seconds = watch.time("ingest/sharded", 1, &[], || {
         import_smart_csv_sharded(
             csv.as_slice(),
@@ -265,8 +289,7 @@ fn main() {
             fleet.config().clone(),
             &IngestConfig::default(),
         )
-        .expect("well-formed CSV")
-    });
+    })?;
 
     println!(
         "\nWEFR / slowest single selector = {:.2}x (paper: 22.9s / 20.4s = 1.12x; \
@@ -277,11 +300,13 @@ fn main() {
         "RF importance, permutation / impurity = {:.2}x",
         permutation_seconds / impurity_seconds
     );
-    println!(
-        "change point on {} points, BOCPD / binary segmentation = {:.0}x",
-        rates.len(),
-        bocpd_seconds / binseg_seconds
-    );
+    if let Some((bocpd_seconds, binseg_seconds)) = change_point_seconds {
+        println!(
+            "change point on {} points, BOCPD / binary segmentation = {:.0}x",
+            rates.len(),
+            bocpd_seconds / binseg_seconds
+        );
+    }
     println!(
         "RF training, exact / histogram = {:.2}x",
         exact_seconds / histogram_seconds
@@ -304,4 +329,5 @@ fn main() {
             rows: watch.rows,
         },
     );
+    Ok(())
 }

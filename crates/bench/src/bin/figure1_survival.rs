@@ -33,8 +33,8 @@ fn main() {
             .map(|s| (s.final_mwi_n, s.is_failed()));
         let curve = SurvivalCurve::from_drives(drives, SURVIVAL_MIN_BUCKET);
         let cp = curve
-            .detect_change_point_default()
-            .expect("valid BOCPD config");
+            .detect_change_point()
+            .expect("survival rates are finite");
 
         println!("--- {model} ---");
         match curve.mwi_range() {

@@ -42,7 +42,7 @@ fn main() {
             &opts.experiment_config(),
         )
         .expect("census config derived from a valid fleet");
-        let cp = detect_wearout_threshold(&survival).expect("valid BOCPD config");
+        let cp = detect_wearout_threshold(&survival).expect("survival rates are finite");
         let Some(cp) = cp else {
             println!("--- {model} --- no change point detected; skipped");
             continue;

@@ -210,7 +210,6 @@ impl RunOptions {
                 max_depth: 13,
                 min_samples_leaf: 2,
                 max_features: MaxFeatures::Sqrt,
-                ..TreeConfig::default()
             },
             seed: self.seed,
             n_threads: None,

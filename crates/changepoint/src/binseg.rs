@@ -12,29 +12,23 @@ pub struct SegBoundary {
     pub gain: f64,
 }
 
-/// The single best split of `series` by SSE reduction, requiring at least
-/// `min_segment` points on each side. Returns `None` when no admissible
-/// split reduces SSE.
+/// Points each side of a split must keep.
+const MIN_SEGMENT: usize = 4;
+
+/// The single best split of `series` by SSE reduction, keeping at least 4
+/// points on each side. Returns `None` when no admissible split reduces
+/// SSE.
 ///
 /// # Errors
 ///
 /// Returns [`ChangepointError::SeriesTooShort`] when the series cannot hold
-/// two segments, [`ChangepointError::NonFinite`] for NaN/∞ input, and
-/// [`ChangepointError::InvalidParameter`] when `min_segment == 0`.
-pub fn best_split(
-    series: &[f64],
-    min_segment: usize,
-) -> Result<Option<SegBoundary>, ChangepointError> {
-    if min_segment == 0 {
-        return Err(ChangepointError::InvalidParameter {
-            message: "min_segment must be positive".to_string(),
-        });
-    }
+/// two segments and [`ChangepointError::NonFinite`] for NaN/∞ input.
+pub fn best_split(series: &[f64]) -> Result<Option<SegBoundary>, ChangepointError> {
     let n = series.len();
-    if n < 2 * min_segment {
+    if n < 2 * MIN_SEGMENT {
         return Err(ChangepointError::SeriesTooShort {
             len: n,
-            required: 2 * min_segment,
+            required: 2 * MIN_SEGMENT,
         });
     }
     if series.iter().any(|x| !x.is_finite()) {
@@ -45,8 +39,8 @@ pub fn best_split(
     let base = total * total / n as f64;
     let mut best: Option<SegBoundary> = None;
     let mut left_sum = 0.0;
-    for k in min_segment..=(n - min_segment) {
-        left_sum = if k == min_segment {
+    for k in MIN_SEGMENT..=(n - MIN_SEGMENT) {
+        left_sum = if k == MIN_SEGMENT {
             series[..k].iter().sum()
         } else {
             left_sum + series[k - 1]
@@ -58,49 +52,6 @@ pub fn best_split(
         }
     }
     Ok(best)
-}
-
-/// Recursive binary segmentation: repeatedly split the segment whose best
-/// split has the largest gain, until no split clears `penalty`. Returns the
-/// boundaries sorted ascending.
-///
-/// # Errors
-///
-/// Same conditions as [`best_split`] for the initial series.
-pub fn segment(
-    series: &[f64],
-    min_segment: usize,
-    penalty: f64,
-) -> Result<Vec<SegBoundary>, ChangepointError> {
-    // Validate eagerly on the whole series.
-    if series.iter().any(|x| !x.is_finite()) {
-        return Err(ChangepointError::NonFinite);
-    }
-    if min_segment == 0 {
-        return Err(ChangepointError::InvalidParameter {
-            message: "min_segment must be positive".to_string(),
-        });
-    }
-    let mut boundaries = Vec::new();
-    let mut stack = vec![(0usize, series.len())];
-    while let Some((start, end)) = stack.pop() {
-        if end - start < 2 * min_segment {
-            continue;
-        }
-        if let Some(b) = best_split(&series[start..end], min_segment)? {
-            if b.gain > penalty {
-                let split = start + b.index;
-                boundaries.push(SegBoundary {
-                    index: split,
-                    gain: b.gain,
-                });
-                stack.push((start, split));
-                stack.push((split, end));
-            }
-        }
-    }
-    boundaries.sort_by_key(|b| b.index);
-    Ok(boundaries)
 }
 
 #[cfg(test)]
@@ -116,7 +67,7 @@ mod tests {
     #[test]
     fn finds_clean_step() {
         let xs = step(20, 0.0, 30, 4.0);
-        let b = best_split(&xs, 2).unwrap().unwrap();
+        let b = best_split(&xs).unwrap().unwrap();
         assert_eq!(b.index, 20);
         assert!(b.gain > 0.0);
     }
@@ -124,43 +75,24 @@ mod tests {
     #[test]
     fn constant_series_has_no_split() {
         let xs = vec![3.0; 40];
-        assert!(best_split(&xs, 2).unwrap().is_none());
+        assert!(best_split(&xs).unwrap().is_none());
     }
 
     #[test]
     fn min_segment_is_respected() {
         let xs = step(3, 0.0, 37, 4.0);
-        let b = best_split(&xs, 5).unwrap().unwrap();
-        assert!(b.index >= 5 && b.index <= 35);
+        let b = best_split(&xs).unwrap().unwrap();
+        assert!(b.index >= MIN_SEGMENT && b.index <= xs.len() - MIN_SEGMENT);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(best_split(&[1.0, 2.0], 2).is_err());
-        assert!(best_split(&[1.0, f64::NAN, 2.0, 3.0], 1).is_err());
-        assert!(best_split(&[1.0, 2.0, 3.0, 4.0], 0).is_err());
-    }
-
-    #[test]
-    fn segment_finds_two_steps() {
-        let mut xs = step(30, 0.0, 30, 5.0);
-        xs.extend(vec![-3.0; 30]);
-        let bounds = segment(&xs, 5, 1.0).unwrap();
-        let idxs: Vec<usize> = bounds.iter().map(|b| b.index).collect();
-        assert!(idxs.contains(&30), "bounds = {idxs:?}");
-        assert!(idxs.contains(&60), "bounds = {idxs:?}");
-    }
-
-    #[test]
-    fn segment_penalty_suppresses_noise_splits() {
-        let xs: Vec<f64> = (0..60).map(|i| (i % 3) as f64 * 0.01).collect();
-        let bounds = segment(&xs, 5, 10.0).unwrap();
-        assert!(bounds.is_empty());
-    }
-
-    #[test]
-    fn segment_empty_for_short_series() {
-        let xs = vec![1.0, 2.0];
-        assert!(segment(&xs, 5, 0.1).unwrap().is_empty());
+        assert!(matches!(
+            best_split(&[1.0; 7]),
+            Err(ChangepointError::SeriesTooShort { required: 8, .. })
+        ));
+        let mut xs = vec![1.0; 8];
+        xs[2] = f64::NAN;
+        assert_eq!(best_split(&xs), Err(ChangepointError::NonFinite));
     }
 }

@@ -11,34 +11,27 @@ use crate::error::ChangepointError;
 use crate::normal_gamma::NormalGamma;
 use smart_stats::descriptive::{mean, population_std};
 
-/// BOCPD configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BocpdConfig {
-    /// Constant hazard: prior probability of a change at each step
-    /// (`1 / expected run length`).
-    pub hazard: f64,
-    /// Prior over segment parameters.
-    pub prior: NormalGamma,
-    /// Standardize the series (z-score) before detection so the default
-    /// prior fits any scale. On by default.
-    pub standardize: bool,
-    /// Run-length probabilities below this are pruned for speed.
-    pub prune_threshold: f64,
-}
+/// Constant hazard: the prior probability of a change at each step
+/// (`1 / expected run length`).
+const HAZARD: f64 = 1.0 / 50.0;
 
-impl Default for BocpdConfig {
-    fn default() -> Self {
-        BocpdConfig {
-            hazard: 1.0 / 50.0,
-            prior: NormalGamma::default(),
-            standardize: true,
-            prune_threshold: 1e-9,
-        }
-    }
-}
+/// The prior over each segment's mean and precision: weakly informative
+/// for the z-scored series the detector analyzes.
+const PRIOR: NormalGamma = NormalGamma {
+    mu: 0.0,
+    kappa: 1.0,
+    alpha: 1.0,
+    beta: 1.0,
+};
+
+/// Run-length probabilities below this are pruned for speed.
+const PRUNE_THRESHOLD: f64 = 1e-9;
 
 /// Per-position change probabilities for `series`: element `i` is the
 /// posterior probability that a new segment *started at observation `i`*.
+///
+/// The series is standardized (z-scored) first, so one weakly informative
+/// prior (μ 0, κ 1, α 1, β 1) fits any scale; the hazard is 1/50.
 ///
 /// With a constant hazard, `P(rₜ = 0)` equals the hazard identically (the
 /// normalizer cancels the likelihoods), so the informative statistic is the
@@ -50,13 +43,9 @@ impl Default for BocpdConfig {
 ///
 /// # Errors
 ///
-/// Returns [`ChangepointError::SeriesTooShort`] for fewer than 3 points,
-/// [`ChangepointError::NonFinite`] for NaN/∞ inputs, and
-/// [`ChangepointError::InvalidParameter`] for a hazard outside `(0, 1)`.
-pub fn change_probabilities(
-    series: &[f64],
-    config: &BocpdConfig,
-) -> Result<Vec<f64>, ChangepointError> {
+/// Returns [`ChangepointError::SeriesTooShort`] for fewer than 3 points and
+/// [`ChangepointError::NonFinite`] for NaN/∞ inputs.
+pub fn change_probabilities(series: &[f64]) -> Result<Vec<f64>, ChangepointError> {
     if series.len() < 3 {
         return Err(ChangepointError::SeriesTooShort {
             len: series.len(),
@@ -66,37 +55,20 @@ pub fn change_probabilities(
     if series.iter().any(|x| !x.is_finite()) {
         return Err(ChangepointError::NonFinite);
     }
-    if !(config.hazard > 0.0 && config.hazard < 1.0) {
-        return Err(ChangepointError::InvalidParameter {
-            message: "hazard must be in (0, 1)".to_string(),
-        });
-    }
 
-    let span = telemetry::span!(
-        "bocpd",
-        n = series.len(),
-        standardize = config.standardize,
-        hazard = config.hazard,
-    );
+    let span = telemetry::span!("bocpd", n = series.len());
 
-    let standardized: Vec<f64>;
-    let xs: &[f64] = if config.standardize {
-        let m = mean(series)?;
-        let s = population_std(series)?;
-        let s = if s > 0.0 { s } else { 1.0 };
-        standardized = series.iter().map(|x| (x - m) / s).collect();
-        &standardized
-    } else {
-        series
-    };
-    let n = xs.len();
+    let m = mean(series)?;
+    let s = population_std(series)?;
+    let s = if s > 0.0 { s } else { 1.0 };
+    let xs: Vec<f64> = series.iter().map(|x| (x - m) / s).collect();
 
     // run_probs[r] = P(current run began at observation t-r | x₀..xₜ);
     // models[r] = posterior for that run (lagging by its first observation,
     // the standard online simplification).
     let mut run_probs: Vec<f64> = vec![1.0];
-    let mut models: Vec<NormalGamma> = vec![config.prior];
-    let mut cp_probs = vec![0.0; n];
+    let mut models: Vec<NormalGamma> = vec![PRIOR];
+    let mut cp_probs = vec![0.0; xs.len()];
 
     for (t, &x) in xs.iter().enumerate().skip(1) {
         let predictive: Vec<f64> = models.iter().map(|m| m.log_predictive(x).exp()).collect();
@@ -105,12 +77,12 @@ pub fn change_probabilities(
         let mut grown: Vec<f64> = run_probs
             .iter()
             .zip(&predictive)
-            .map(|(p, like)| p * like * (1.0 - config.hazard))
+            .map(|(p, like)| p * like * (1.0 - HAZARD))
             .collect();
         let changed: f64 = run_probs
             .iter()
             .zip(&predictive)
-            .map(|(p, like)| p * like * config.hazard)
+            .map(|(p, like)| p * like * HAZARD)
             .sum();
 
         let mut next_probs = Vec::with_capacity(grown.len() + 1);
@@ -122,7 +94,7 @@ pub fn change_probabilities(
             // Numerical underflow across the board: restart mass at r = 0.
             telemetry::counter_add("bocpd.underflow_restarts", 1);
             run_probs = vec![1.0];
-            models = vec![config.prior];
+            models = vec![PRIOR];
             cp_probs[t] = 1.0;
             continue;
         }
@@ -133,7 +105,7 @@ pub fn change_probabilities(
         // Posterior update: run r at t extends run r-1's model with x; run 0
         // restarts from the prior (it will absorb x at the next step).
         let mut next_models = Vec::with_capacity(models.len() + 1);
-        next_models.push(config.prior);
+        next_models.push(PRIOR);
         for m in &models {
             next_models.push(m.update(x));
         }
@@ -145,7 +117,7 @@ pub fn change_probabilities(
         // short-run indices the statistic reads stay aligned).
         let last_kept = run_probs
             .iter()
-            .rposition(|&p| p > config.prune_threshold)
+            .rposition(|&p| p > PRUNE_THRESHOLD)
             .unwrap_or(0);
         let keep_len = (last_kept + 1).max(2).min(run_probs.len());
         run_probs.truncate(keep_len);
@@ -190,7 +162,7 @@ mod tests {
     #[test]
     fn detects_obvious_step() {
         let xs = step_series(40, 0.0, 40, 5.0, 1);
-        let probs = change_probabilities(&xs, &BocpdConfig::default()).unwrap();
+        let probs = change_probabilities(&xs).unwrap();
         // The change probability at the step (index 40, ±2) must dominate.
         let peak = (38..=42).map(|i| probs[i]).fold(0.0, f64::max);
         let elsewhere = probs[10..30].iter().fold(0.0f64, |a, &b| a.max(b));
@@ -204,7 +176,7 @@ mod tests {
     #[test]
     fn flat_series_has_low_probabilities() {
         let xs = step_series(80, 1.0, 0, 0.0, 2);
-        let probs = change_probabilities(&xs, &BocpdConfig::default()).unwrap();
+        let probs = change_probabilities(&xs).unwrap();
         // After burn-in, change probability should hover near the hazard.
         let late_max = probs[10..].iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(late_max < 0.4, "late_max = {late_max}");
@@ -213,7 +185,7 @@ mod tests {
     #[test]
     fn probabilities_are_probabilities() {
         let xs = step_series(30, 0.0, 30, 2.0, 3);
-        let probs = change_probabilities(&xs, &BocpdConfig::default()).unwrap();
+        let probs = change_probabilities(&xs).unwrap();
         assert_eq!(probs.len(), xs.len());
         assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
         assert_eq!(probs[0], 0.0);
@@ -221,26 +193,20 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_input() {
-        let config = BocpdConfig::default();
         assert!(matches!(
-            change_probabilities(&[1.0], &config),
+            change_probabilities(&[1.0]),
             Err(ChangepointError::SeriesTooShort { .. })
         ));
         assert!(matches!(
-            change_probabilities(&[1.0, f64::NAN, 2.0], &config),
+            change_probabilities(&[1.0, f64::NAN, 2.0]),
             Err(ChangepointError::NonFinite)
         ));
-        let bad = BocpdConfig {
-            hazard: 1.5,
-            ..config
-        };
-        assert!(change_probabilities(&[1.0, 2.0], &bad).is_err());
     }
 
     #[test]
     fn constant_series_is_stable() {
         let xs = vec![0.7; 60];
-        let probs = change_probabilities(&xs, &BocpdConfig::default()).unwrap();
+        let probs = change_probabilities(&xs).unwrap();
         assert!(probs.iter().all(|p| p.is_finite()));
         let late_max = probs[10..].iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(late_max < 0.5, "late_max = {late_max}");
@@ -253,28 +219,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut xs: Vec<f64> = (0..50).map(|_| sample_normal(&mut rng, 0.0, 0.1)).collect();
         xs.extend((0..50).map(|_| sample_normal(&mut rng, 0.0, 3.0)));
-        let probs = change_probabilities(&xs, &BocpdConfig::default()).unwrap();
+        let probs = change_probabilities(&xs).unwrap();
         let peak = (48..=56).map(|i| probs[i]).fold(0.0, f64::max);
         let baseline = probs[10..40].iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(peak > baseline, "peak {peak} vs baseline {baseline}");
-    }
-
-    #[test]
-    fn without_standardization_scale_matters_but_works() {
-        let xs = step_series(40, 100.0, 40, 200.0, 7);
-        let config = BocpdConfig {
-            standardize: false,
-            // Wide prior to cope with unscaled data.
-            prior: NormalGamma {
-                mu: 150.0,
-                kappa: 0.01,
-                alpha: 1.0,
-                beta: 100.0,
-            },
-            ..BocpdConfig::default()
-        };
-        let probs = change_probabilities(&xs, &config).unwrap();
-        let peak = (38..=42).map(|i| probs[i]).fold(0.0, f64::max);
-        assert!(peak > 0.2, "peak = {peak}");
     }
 }

@@ -15,11 +15,6 @@ pub enum ChangepointError {
     },
     /// The input contained a non-finite value.
     NonFinite,
-    /// A parameter was outside its valid domain.
-    InvalidParameter {
-        /// Description of the violation.
-        message: String,
-    },
 }
 
 impl fmt::Display for ChangepointError {
@@ -32,19 +27,19 @@ impl fmt::Display for ChangepointError {
                 )
             }
             ChangepointError::NonFinite => write!(f, "series contains a non-finite value"),
-            ChangepointError::InvalidParameter { message } => {
-                write!(f, "invalid parameter: {message}")
-            }
         }
     }
 }
 
 impl std::error::Error for ChangepointError {}
 
+/// The statistics this crate takes (mean, standard deviation, z-scores)
+/// fail only on an empty series, which every caller rejects first.
 impl From<smart_stats::StatsError> for ChangepointError {
-    fn from(e: smart_stats::StatsError) -> ChangepointError {
-        ChangepointError::InvalidParameter {
-            message: e.to_string(),
+    fn from(_: smart_stats::StatsError) -> ChangepointError {
+        ChangepointError::SeriesTooShort {
+            len: 0,
+            required: 1,
         }
     }
 }

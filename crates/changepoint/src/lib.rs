@@ -24,7 +24,7 @@
 //!     (0..30).map(move |i| (mwi as f64, i < if mwi < 40 { 15 } else { 1 }))
 //! });
 //! let curve = SurvivalCurve::from_drives(drives, 3);
-//! let cp = curve.detect_change_point_default()?.expect("knee is detectable");
+//! let cp = curve.detect_change_point()?.expect("knee is detectable");
 //! assert!((35..=45).contains(&cp.mwi_threshold));
 //! # Ok(())
 //! # }
@@ -37,10 +37,10 @@ pub mod normal_gamma;
 pub mod significance;
 pub mod survival;
 
-pub use bocpd::{change_probabilities, BocpdConfig};
+pub use bocpd::change_probabilities;
 pub use error::ChangepointError;
 pub use normal_gamma::NormalGamma;
 pub use significance::{
     most_significant_point, significant_points, SignificantPoint, PAPER_Z_THRESHOLD,
 };
-pub use survival::{SurvivalCurve, SurvivalPoint, WearoutChangePoint};
+pub use survival::{SurvivalCurve, SurvivalPoint, WearoutChangePoint, MIN_DRIVES_PER_POINT};

@@ -15,18 +15,6 @@ pub struct NormalGamma {
     pub beta: f64,
 }
 
-impl Default for NormalGamma {
-    /// A weakly informative prior suited to z-scored inputs.
-    fn default() -> Self {
-        NormalGamma {
-            mu: 0.0,
-            kappa: 1.0,
-            alpha: 1.0,
-            beta: 1.0,
-        }
-    }
-}
-
 impl NormalGamma {
     /// Posterior after observing `x` (standard conjugate update).
     pub fn update(&self, x: f64) -> NormalGamma {
@@ -92,6 +80,14 @@ pub fn ln_gamma(x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// A unit prior: mean 0 backed by one pseudo-observation.
+    const UNIT: NormalGamma = NormalGamma {
+        mu: 0.0,
+        kappa: 1.0,
+        alpha: 1.0,
+        beta: 1.0,
+    };
+
     #[test]
     fn ln_gamma_known_values() {
         // Γ(1) = 1, Γ(2) = 1, Γ(5) = 24, Γ(0.5) = √π.
@@ -127,7 +123,7 @@ mod tests {
 
     #[test]
     fn update_shifts_mean_toward_observation() {
-        let prior = NormalGamma::default();
+        let prior = UNIT;
         let post = prior.update(10.0);
         assert!(post.mu > prior.mu);
         assert_eq!(post.kappa, 2.0);
@@ -137,19 +133,19 @@ mod tests {
 
     #[test]
     fn repeated_updates_concentrate() {
-        let mut ng = NormalGamma::default();
+        let mut ng = UNIT;
         for _ in 0..100 {
             ng = ng.update(3.0);
         }
         assert!((ng.mu - 3.0).abs() < 0.1);
         // Predictive mass at the data value beats the prior's.
-        assert!(ng.log_predictive(3.0) > NormalGamma::default().log_predictive(3.0));
+        assert!(ng.log_predictive(3.0) > UNIT.log_predictive(3.0));
     }
 
     #[test]
     fn predictive_is_normalized_enough() {
         // Numerically integrate the predictive over a wide grid.
-        let ng = NormalGamma::default().update(0.5).update(-0.2);
+        let ng = UNIT.update(0.5).update(-0.2);
         let step = 0.01;
         let total: f64 = (-4000..4000)
             .map(|i| ng.log_predictive(i as f64 * step).exp() * step)

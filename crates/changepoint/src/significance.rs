@@ -20,33 +20,25 @@ pub struct SignificantPoint {
     pub z_score: f64,
 }
 
-/// All indices whose change probability deviates at least `z_threshold`
-/// standard deviations from the mean, ordered by descending |z|.
+/// All indices whose change probability deviates at least
+/// [`PAPER_Z_THRESHOLD`] standard deviations from the mean, ordered by
+/// descending |z|.
 ///
 /// # Errors
 ///
-/// Returns [`ChangepointError::SeriesTooShort`] for an empty input and
-/// [`ChangepointError::InvalidParameter`] for a non-positive threshold.
-pub fn significant_points(
-    change_probs: &[f64],
-    z_threshold: f64,
-) -> Result<Vec<SignificantPoint>, ChangepointError> {
+/// Returns [`ChangepointError::SeriesTooShort`] for an empty input.
+pub fn significant_points(change_probs: &[f64]) -> Result<Vec<SignificantPoint>, ChangepointError> {
     if change_probs.is_empty() {
         return Err(ChangepointError::SeriesTooShort {
             len: 0,
             required: 1,
         });
     }
-    if z_threshold <= 0.0 {
-        return Err(ChangepointError::InvalidParameter {
-            message: "z threshold must be positive".to_string(),
-        });
-    }
     let zs = z_scores(change_probs)?;
     let mut points: Vec<SignificantPoint> = zs
         .iter()
         .enumerate()
-        .filter(|(_, z)| z.abs() >= z_threshold)
+        .filter(|(_, z)| z.abs() >= PAPER_Z_THRESHOLD)
         .map(|(index, &z)| SignificantPoint {
             index,
             probability: change_probs[index],
@@ -62,7 +54,8 @@ pub fn significant_points(
     Ok(points)
 }
 
-/// The single most significant change point, if any crosses the threshold —
+/// The single most significant change point, if any crosses
+/// [`PAPER_Z_THRESHOLD`] —
 /// "if we detect multiple change points, we select the point with the most
 /// significant change" (§III-C).
 ///
@@ -71,11 +64,8 @@ pub fn significant_points(
 /// Same conditions as [`significant_points`].
 pub fn most_significant_point(
     change_probs: &[f64],
-    z_threshold: f64,
 ) -> Result<Option<SignificantPoint>, ChangepointError> {
-    Ok(significant_points(change_probs, z_threshold)?
-        .into_iter()
-        .next())
+    Ok(significant_points(change_probs)?.into_iter().next())
 }
 
 #[cfg(test)]
@@ -86,7 +76,7 @@ mod tests {
     fn isolated_spike_is_significant() {
         let mut probs = vec![0.01; 60];
         probs[30] = 0.9;
-        let points = significant_points(&probs, PAPER_Z_THRESHOLD).unwrap();
+        let points = significant_points(&probs).unwrap();
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].index, 30);
         assert!(points[0].z_score > PAPER_Z_THRESHOLD);
@@ -95,12 +85,8 @@ mod tests {
     #[test]
     fn flat_series_has_no_significant_points() {
         let probs = vec![0.02; 40];
-        assert!(significant_points(&probs, PAPER_Z_THRESHOLD)
-            .unwrap()
-            .is_empty());
-        assert!(most_significant_point(&probs, PAPER_Z_THRESHOLD)
-            .unwrap()
-            .is_none());
+        assert!(significant_points(&probs).unwrap().is_empty());
+        assert!(most_significant_point(&probs).unwrap().is_none());
     }
 
     #[test]
@@ -108,9 +94,7 @@ mod tests {
         let mut probs = vec![0.01; 100];
         probs[20] = 0.5;
         probs[70] = 0.9;
-        let best = most_significant_point(&probs, PAPER_Z_THRESHOLD)
-            .unwrap()
-            .unwrap();
+        let best = most_significant_point(&probs).unwrap().unwrap();
         assert_eq!(best.index, 70);
     }
 
@@ -119,7 +103,7 @@ mod tests {
         let mut probs = vec![0.01; 100];
         probs[20] = 0.5;
         probs[70] = 0.9;
-        let points = significant_points(&probs, 2.0).unwrap();
+        let points = significant_points(&probs).unwrap();
         assert!(points.len() >= 2);
         assert_eq!(points[0].index, 70);
         assert_eq!(points[1].index, 20);
@@ -127,18 +111,20 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(significant_points(&[], 2.5).is_err());
-        assert!(significant_points(&[0.1, 0.2], 0.0).is_err());
-        assert!(significant_points(&[0.1, 0.2], -1.0).is_err());
+        assert!(significant_points(&[]).is_err());
     }
 
     #[test]
     fn threshold_gates_detection() {
-        let mut probs = vec![0.1; 20];
-        probs[5] = 0.3; // mild bump
-        let strict = significant_points(&probs, 5.0).unwrap();
-        assert!(strict.is_empty());
-        let lax = significant_points(&probs, 1.0).unwrap();
-        assert!(!lax.is_empty());
+        // Alternating values sit exactly one σ from their mean: none counts.
+        let mut probs: Vec<f64> = (0..20)
+            .map(|i| if i % 2 == 0 { 0.1 } else { 0.3 })
+            .collect();
+        assert!(significant_points(&probs).unwrap().is_empty());
+        // A spike among them clears 2.5σ, and only the spike counts.
+        probs[5] = 0.9;
+        let points = significant_points(&probs).unwrap();
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].index, 5);
     }
 }

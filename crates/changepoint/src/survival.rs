@@ -5,9 +5,13 @@
 //! whose final `MWI_N` equals `v` that were still healthy at the end of the
 //! dataset (§III-C).
 
-use crate::bocpd::{change_probabilities, BocpdConfig};
+use crate::bocpd::change_probabilities;
 use crate::error::ChangepointError;
-use crate::significance::{most_significant_point, PAPER_Z_THRESHOLD};
+use crate::significance::most_significant_point;
+
+/// Minimum drives per point that change-point detection analyzes: it
+/// pools sparser adjacent buckets first ([`SurvivalCurve::coarsened`]).
+pub const MIN_DRIVES_PER_POINT: usize = 25;
 
 /// One point of a survival curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,25 +103,20 @@ impl SurvivalCurve {
     }
 
     /// Detect the most significant change point of the survival rate using
-    /// Bayesian change-point detection plus the paper's z-score rule.
+    /// Bayesian change-point detection plus the paper's z ≥ 2.5 rule, on
+    /// the curve pooled to [`MIN_DRIVES_PER_POINT`] drives per point.
     ///
     /// Returns `Ok(None)` when the curve is too short / too narrow or no
     /// point crosses the significance threshold.
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors from the BOCPD pass.
-    pub fn detect_change_point(
-        &self,
-        config: &BocpdConfig,
-        z_threshold: f64,
-    ) -> Result<Option<WearoutChangePoint>, ChangepointError> {
+    /// Propagates errors from the BOCPD pass.
+    pub fn detect_change_point(&self) -> Result<Option<WearoutChangePoint>, ChangepointError> {
         // Need a handful of points for the z-score over change
         // probabilities to mean anything.
         const MIN_POINTS: usize = 8;
         const MIN_RANGE: u32 = 10;
-        /// Minimum drives per analyzed point (sparser buckets are pooled).
-        const MIN_DRIVES_PER_POINT: usize = 25;
         // A z-score outlier among uniformly tiny change probabilities is
         // burn-in noise, not a regime change; require real posterior mass.
         const MIN_PROBABILITY: f64 = 0.03;
@@ -137,7 +136,7 @@ impl SurvivalCurve {
         // the real regime change (the paper's 500K-drive buckets are dense
         // enough not to need this).
         let rates = smooth3(&work.rates());
-        let probs = change_probabilities(&rates, config)?;
+        let probs = change_probabilities(&rates)?;
         if telemetry::event_active(telemetry::Level::Debug) {
             for (point, prob) in work.points().iter().zip(&probs) {
                 telemetry::debug!(
@@ -149,7 +148,7 @@ impl SurvivalCurve {
                 );
             }
         }
-        let candidate = most_significant_point(&probs, z_threshold)?;
+        let candidate = most_significant_point(&probs)?;
         if let Some(p) = &candidate {
             span.record("probability", p.probability);
             span.record("z_score", p.z_score);
@@ -237,18 +236,6 @@ impl SurvivalCurve {
         }
         SurvivalCurve { points }
     }
-
-    /// Convenience: detection with default BOCPD settings and the paper's
-    /// ±2.5 z-score threshold.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`SurvivalCurve::detect_change_point`].
-    pub fn detect_change_point_default(
-        &self,
-    ) -> Result<Option<WearoutChangePoint>, ChangepointError> {
-        self.detect_change_point(&BocpdConfig::default(), PAPER_Z_THRESHOLD)
-    }
 }
 
 /// Centered 3-point moving average (endpoints average their two neighbours).
@@ -269,6 +256,7 @@ fn smooth3(xs: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::significance::PAPER_Z_THRESHOLD;
 
     /// Synthetic fleet: survival high above the knee, dropping below it.
     fn kneed_drives(knee: u32, per_bucket: usize) -> Vec<(f64, bool)> {
@@ -315,7 +303,7 @@ mod tests {
     #[test]
     fn detects_knee_near_truth() {
         let curve = SurvivalCurve::from_drives(kneed_drives(40, 30), 3);
-        let cp = curve.detect_change_point_default().unwrap().unwrap();
+        let cp = curve.detect_change_point().unwrap().unwrap();
         assert!(
             (35..=45).contains(&cp.mwi_threshold),
             "threshold = {}",
@@ -334,7 +322,7 @@ mod tests {
             }
         }
         let curve = SurvivalCurve::from_drives(drives, 3);
-        assert!(curve.detect_change_point_default().unwrap().is_none());
+        assert!(curve.detect_change_point().unwrap().is_none());
         assert!(!curve.has_meaningful_range(10));
     }
 
@@ -347,7 +335,7 @@ mod tests {
             }
         }
         let curve = SurvivalCurve::from_drives(drives, 3);
-        assert!(curve.detect_change_point_default().unwrap().is_none());
+        assert!(curve.detect_change_point().unwrap().is_none());
     }
 
     #[test]
@@ -416,6 +404,6 @@ mod tests {
         let curve = SurvivalCurve::from_drives(Vec::<(f64, bool)>::new(), 1);
         assert!(curve.points().is_empty());
         assert_eq!(curve.mwi_range(), None);
-        assert!(curve.detect_change_point_default().unwrap().is_none());
+        assert!(curve.detect_change_point().unwrap().is_none());
     }
 }

@@ -4,39 +4,23 @@
 
 use crate::measures::SubsetMeasures;
 
-/// Configuration of the ensemble measure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnsembleConfig {
-    /// Normalizing divisor. The paper prints `/2`; with three ensembled
-    /// measures the mean (`3`) is used here — see DESIGN.md §2. The divisor
-    /// only rescales `F`.
-    pub divisor: f64,
-    /// Cap applied to the reciprocal terms `1/F1` and `1/F3` so that a
-    /// useless feature set yields a large-but-finite complexity.
-    pub reciprocal_cap: f64,
+/// Cap on the reciprocal terms `1/F1` and `1/F3`, so that a useless
+/// feature set yields a large-but-finite complexity.
+const RECIPROCAL_CAP: f64 = 10.0;
+
+/// The ensemble complexity `F` of a feature subset, divided by `divisor`.
+/// Higher = harder.
+pub fn ensemble_complexity(m: &SubsetMeasures, divisor: f64) -> f64 {
+    let r1 = capped_reciprocal(m.f1);
+    let r3 = capped_reciprocal(m.f3);
+    (r1 + m.f2 + r3) / divisor
 }
 
-impl Default for EnsembleConfig {
-    fn default() -> Self {
-        EnsembleConfig {
-            divisor: 3.0,
-            reciprocal_cap: 10.0,
-        }
-    }
-}
-
-/// The ensemble complexity `F` of a feature subset. Higher = harder.
-pub fn ensemble_complexity(m: &SubsetMeasures, config: &EnsembleConfig) -> f64 {
-    let r1 = capped_reciprocal(m.f1, config.reciprocal_cap);
-    let r3 = capped_reciprocal(m.f3, config.reciprocal_cap);
-    (r1 + m.f2 + r3) / config.divisor
-}
-
-fn capped_reciprocal(x: f64, cap: f64) -> f64 {
+fn capped_reciprocal(x: f64) -> f64 {
     if x <= 0.0 {
-        cap
+        RECIPROCAL_CAP
     } else {
-        (1.0 / x).min(cap)
+        (1.0 / x).min(RECIPROCAL_CAP)
     }
 }
 
@@ -56,15 +40,13 @@ mod tests {
             f2: 1.0,
             f3: 0.05,
         };
-        let config = EnsembleConfig::default();
-        assert!(ensemble_complexity(&easy, &config) < ensemble_complexity(&hard, &config));
+        assert!(ensemble_complexity(&easy, 3.0) < ensemble_complexity(&hard, 3.0));
     }
 
     #[test]
     fn empty_subset_hits_the_cap() {
-        let config = EnsembleConfig::default();
-        let f = ensemble_complexity(&SubsetMeasures::empty(), &config);
-        // (cap + 1 + cap) / 3 = 7.0 with defaults.
+        let f = ensemble_complexity(&SubsetMeasures::empty(), 3.0);
+        // (cap + 1 + cap) / 3 = 7.0.
         assert!((f - 7.0).abs() < 1e-12, "f = {f}");
     }
 
@@ -75,14 +57,8 @@ mod tests {
             f2: 0.5,
             f3: 0.5,
         };
-        let d3 = ensemble_complexity(&m, &EnsembleConfig::default());
-        let d2 = ensemble_complexity(
-            &m,
-            &EnsembleConfig {
-                divisor: 2.0,
-                ..EnsembleConfig::default()
-            },
-        );
+        let d3 = ensemble_complexity(&m, 3.0);
+        let d2 = ensemble_complexity(&m, 2.0);
         assert!((d2 / d3 - 1.5).abs() < 1e-12);
     }
 
@@ -94,17 +70,16 @@ mod tests {
             f3: 0.5,
         };
         // (0.5 + 0.5 + 2.0) / 3 = 1.0
-        let f = ensemble_complexity(&m, &EnsembleConfig::default());
+        let f = ensemble_complexity(&m, 3.0);
         assert!((f - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn complexity_is_nonnegative_and_finite() {
-        let config = EnsembleConfig::default();
         for f1 in [0.0, 0.1, 1e9] {
             for f2 in [0.0, 0.5, 1.0] {
                 for f3 in [0.0, 0.5, 1.0] {
-                    let f = ensemble_complexity(&SubsetMeasures { f1, f2, f3 }, &config);
+                    let f = ensemble_complexity(&SubsetMeasures { f1, f2, f3 }, 3.0);
                     assert!(f.is_finite() && f >= 0.0);
                 }
             }

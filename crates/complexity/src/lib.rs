@@ -38,7 +38,7 @@ pub mod error;
 pub mod measures;
 pub mod threshold;
 
-pub use ensemble::{ensemble_complexity, EnsembleConfig};
+pub use ensemble::ensemble_complexity;
 pub use error::ComplexityError;
 pub use measures::{feature_measures, FeatureMeasures, SubsetMeasures};
 pub use threshold::{automated_feature_count, ScanPoint, ScanResult, ThresholdConfig};

@@ -4,26 +4,28 @@
 //! linearly growing size penalty), seed with the top `log₂(#features)`
 //! features, and stop as soon as `e` stops improving.
 
-use crate::ensemble::{ensemble_complexity, EnsembleConfig};
+use crate::ensemble::ensemble_complexity;
 use crate::error::ComplexityError;
 use crate::measures::{feature_measures, SubsetMeasures};
 use smart_stats::FeatureMatrix;
 
+/// Weight `α` of the complexity term in `e` (the paper's 0.75).
+const ALPHA: f64 = 0.75;
+
 /// Configuration of the automated scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdConfig {
-    /// Weight of the complexity term (paper: `α = 0.75`).
-    pub alpha: f64,
-    /// Ensemble-measure configuration.
-    pub ensemble: EnsembleConfig,
+    /// Divisor of the ensemble measure `F = (1/F1 + F2 + 1/F3) / divisor`.
+    /// The paper prints `/2`; with three ensembled measures the mean (`3`)
+    /// is used here — see DESIGN.md §2. It does more than rescale `F`: in
+    /// `e = α·F + (1−α)·ξ` it sets `F`'s weight against the size penalty
+    /// `ξ`.
+    pub divisor: f64,
 }
 
 impl Default for ThresholdConfig {
     fn default() -> Self {
-        ThresholdConfig {
-            alpha: 0.75,
-            ensemble: EnsembleConfig::default(),
-        }
+        ThresholdConfig { divisor: 3.0 }
     }
 }
 
@@ -36,7 +38,7 @@ pub struct ScanPoint {
     pub complexity: f64,
     /// Size penalty `ξ = count / total`.
     pub xi: f64,
-    /// Combined score `e = α·F + (1−α)·ξ`.
+    /// Combined score `e = α·F + (1−α)·ξ`, with the paper's `α = 0.75`.
     pub e: f64,
 }
 
@@ -55,8 +57,8 @@ pub struct ScanResult {
 ///
 /// # Errors
 ///
-/// Returns [`ComplexityError::InvalidParameter`] when the ranking is empty,
-/// references out-of-range columns, or `alpha` is outside `[0, 1]`;
+/// Returns [`ComplexityError::InvalidParameter`] when the ranking is empty
+/// or references out-of-range columns;
 /// [`ComplexityError::LengthMismatch`] when labels don't cover the matrix;
 /// and [`ComplexityError::SingleClass`] when labels are one-class.
 pub fn automated_feature_count(
@@ -68,11 +70,6 @@ pub fn automated_feature_count(
     if ranking_order.is_empty() {
         return Err(ComplexityError::InvalidParameter {
             message: "ranking is empty".to_string(),
-        });
-    }
-    if !(0.0..=1.0).contains(&config.alpha) {
-        return Err(ComplexityError::InvalidParameter {
-            message: "alpha must be in [0, 1]".to_string(),
         });
     }
     if labels.len() != data.n_rows() {
@@ -103,9 +100,9 @@ pub fn automated_feature_count(
         let m = feature_measures(data.column(col), labels)?;
         subset = subset.with_feature(&m);
         let count = i + 1;
-        let complexity = ensemble_complexity(&subset, &config.ensemble);
+        let complexity = ensemble_complexity(&subset, config.divisor);
         let xi = count as f64 / total as f64;
-        let e = config.alpha * complexity + (1.0 - config.alpha) * xi;
+        let e = ALPHA * complexity + (1.0 - ALPHA) * xi;
         telemetry::debug!(
             "threshold_scan",
             format!("prefix {count}: e = {e:.4}"),
@@ -215,24 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn alpha_one_ignores_size_penalty() {
-        // With alpha = 1 and complexity flat after the first feature, the
-        // scan breaks early only when complexity rises — which the monotone
-        // subset measures make impossible, so everything is kept.
-        let (data, labels) = make_data(2, 6, 200);
-        let order: Vec<usize> = (0..8).collect();
-        let config = ThresholdConfig {
-            alpha: 1.0,
-            ..ThresholdConfig::default()
-        };
-        let result = automated_feature_count(&data, &labels, &order, &config).unwrap();
-        // Non-increasing complexity means it never breaks before the end —
-        // but ties stop the scan (e not strictly smaller), so chosen is
-        // wherever complexity last strictly improved.
-        assert!(result.chosen >= 3);
-    }
-
-    #[test]
     fn partial_rankings_are_supported() {
         // Rank only a subset of the matrix columns.
         let (data, labels) = make_data(2, 6, 150);
@@ -249,11 +228,6 @@ mod tests {
         assert!(automated_feature_count(&data, &labels, &[], &config).is_err());
         assert!(automated_feature_count(&data, &labels, &[99], &config).is_err());
         assert!(automated_feature_count(&data, &labels[..10], &[0], &config).is_err());
-        let bad_alpha = ThresholdConfig {
-            alpha: 1.5,
-            ..config
-        };
-        assert!(automated_feature_count(&data, &labels, &[0], &bad_alpha).is_err());
         let one_class = vec![false; 50];
         assert!(matches!(
             automated_feature_count(&data, &one_class, &[0], &config),

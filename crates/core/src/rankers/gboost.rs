@@ -6,37 +6,24 @@ use crate::ranking::FeatureRanking;
 use smart_stats::FeatureMatrix;
 use smart_trees::{BoostingConfig, GradientBoosting};
 
-/// Which boosting importance to rank by. The paper describes XGBoost
-/// importance as combining "the number of splits … and the average gain";
-/// the default blends both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoostImportance {
-    /// Total split gain per feature.
-    Gain,
-    /// Number of splits per feature.
-    SplitCount,
-    /// Mean of the normalized gain and split-count importances (default).
-    Blend,
-}
-
-/// Ranks features by gradient-boosting feature importance.
+/// Ranks features by gradient-boosting feature importance: the mean of
+/// the normalized gain and split-count importances, since the paper
+/// describes XGBoost importance as combining "the number of splits … and
+/// the average gain".
 #[derive(Debug, Clone)]
 pub struct GradientBoostingRanker {
     /// Boosting hyperparameters.
     pub config: BoostingConfig,
-    /// Importance flavour.
-    pub importance: BoostImportance,
 }
 
 impl GradientBoostingRanker {
-    /// Default ranker (100 rounds, blended importance) with the given seed.
+    /// Default ranker (100 rounds) with the given seed.
     pub fn with_seed(seed: u64) -> Self {
         GradientBoostingRanker {
             config: BoostingConfig {
                 seed,
                 ..BoostingConfig::default()
             },
-            importance: BoostImportance::Blend,
         }
     }
 }
@@ -49,18 +36,13 @@ impl FeatureRanker for GradientBoostingRanker {
     fn rank(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<FeatureRanking, WefrError> {
         validate_input(data, labels)?;
         let model = GradientBoosting::fit(data, labels, &self.config)?;
-        let scores = match self.importance {
-            BoostImportance::Gain => model.gain_importances(),
-            BoostImportance::SplitCount => model.split_count_importances(),
-            BoostImportance::Blend => {
-                let gain = model.gain_importances();
-                let count = model.split_count_importances();
-                gain.iter()
-                    .zip(&count)
-                    .map(|(g, c)| (g + c) / 2.0)
-                    .collect()
-            }
-        };
+        let gain = model.gain_importances();
+        let count = model.split_count_importances();
+        let scores = gain
+            .iter()
+            .zip(&count)
+            .map(|(g, c)| (g + c) / 2.0)
+            .collect();
         FeatureRanking::from_scores(data.feature_names().to_vec(), scores)
     }
 }
@@ -88,20 +70,10 @@ mod tests {
     }
 
     #[test]
-    fn all_importance_flavours_find_signal() {
+    fn blended_importance_finds_signal() {
         let (m, l) = data();
-        for importance in [
-            BoostImportance::Gain,
-            BoostImportance::SplitCount,
-            BoostImportance::Blend,
-        ] {
-            let ranker = GradientBoostingRanker {
-                importance,
-                ..GradientBoostingRanker::with_seed(2)
-            };
-            let r = ranker.rank(&m, &l).unwrap();
-            assert_eq!(r.top_names(1), vec!["signal"], "{importance:?}");
-        }
+        let r = GradientBoostingRanker::with_seed(2).rank(&m, &l).unwrap();
+        assert_eq!(r.top_names(1), vec!["signal"]);
     }
 
     #[test]

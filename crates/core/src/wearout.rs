@@ -19,10 +19,6 @@ pub fn is_low_wear(mwi_n: f64, threshold: f64) -> bool {
 /// Sample-row split at an `MWI_N` threshold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearoutSplit {
-    /// The reported `MWI_N` boundary: the largest integer `T` such that
-    /// every sample with `MWI_N <= T` landed in the low group — i.e. the
-    /// floor of the (possibly fractional) split threshold, clamped at 0.
-    pub threshold: u32,
     /// Rows with `MWI_N <= threshold` (the low/high-wear group).
     pub low_rows: Vec<usize>,
     /// Rows with `MWI_N > threshold`.
@@ -44,17 +40,11 @@ pub struct WearoutSplit {
 pub fn detect_wearout_threshold(
     survival: &[(f64, bool)],
 ) -> Result<Option<WearoutChangePoint>, ChangepointError> {
-    SurvivalCurve::from_drives(survival.iter().copied(), SURVIVAL_MIN_BUCKET)
-        .detect_change_point_default()
+    SurvivalCurve::from_drives(survival.iter().copied(), SURVIVAL_MIN_BUCKET).detect_change_point()
 }
 
 /// Split sample rows by their `MWI_N` value at `threshold` into the
 /// [`is_low_wear`] rows and the rest.
-///
-/// The reported integer boundary is `threshold.floor()` (clamped at 0), so
-/// it always agrees with the predicate actually applied: rounding 30.6 up
-/// to 31 would claim rows at `MWI_N == 31` are low when the split put them
-/// in the high group.
 pub fn split_rows_by_mwi(mwi_per_sample: &[f64], threshold: f64) -> WearoutSplit {
     let mut low_rows = Vec::new();
     let mut high_rows = Vec::new();
@@ -66,7 +56,6 @@ pub fn split_rows_by_mwi(mwi_per_sample: &[f64], threshold: f64) -> WearoutSplit
         }
     }
     WearoutSplit {
-        threshold: threshold.floor().max(0.0) as u32,
         low_rows,
         high_rows,
     }
@@ -82,20 +71,7 @@ mod tests {
         let split = split_rows_by_mwi(&mwi, 30.0);
         assert_eq!(split.low_rows, vec![0, 2, 4]);
         assert_eq!(split.high_rows, vec![1, 3]);
-        assert_eq!(split.threshold, 30);
         assert_eq!(split.low_rows.len() + split.high_rows.len(), mwi.len());
-    }
-
-    #[test]
-    fn fractional_threshold_reports_floor() {
-        // With a fractional threshold the reported integer must be the
-        // floor: rounding 30.6 to 31 would claim MWI_N == 31 is low-wear
-        // even though the split sent it to the high group.
-        let mwi = vec![30.0, 30.5, 30.6, 31.0];
-        let split = split_rows_by_mwi(&mwi, 30.6);
-        assert_eq!(split.low_rows, vec![0, 1, 2]);
-        assert_eq!(split.high_rows, vec![3]);
-        assert_eq!(split.threshold, 30);
     }
 
     #[test]

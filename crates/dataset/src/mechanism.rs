@@ -184,17 +184,6 @@ impl FailureMechanism {
         }
     }
 
-    /// The window — as a fraction of the drive's observed lifetime — within
-    /// which the defect onset is drawn.
-    pub fn onset_window(self) -> (f64, f64) {
-        match self {
-            FailureMechanism::WearOut => (0.55, 0.95),
-            FailureMechanism::AgeRelated => (0.45, 0.95),
-            FailureMechanism::FirmwareEarly => (0.02, 0.35),
-            _ => (0.15, 0.90),
-        }
-    }
-
     /// Drive-specific affinity multiplier applied to the mechanism weight
     /// when sampling which mechanism a defective drive develops.
     pub fn affinity(self, traits: &DriveTraits) -> f64 {
@@ -307,14 +296,6 @@ mod tests {
     fn every_mechanism_has_ramps() {
         for m in FailureMechanism::ALL {
             assert!(!m.ramps().is_empty(), "{m:?} has no ramps");
-        }
-    }
-
-    #[test]
-    fn onset_windows_are_valid_fractions() {
-        for m in FailureMechanism::ALL {
-            let (lo, hi) = m.onset_window();
-            assert!(lo < hi && lo >= 0.0 && hi <= 1.0, "{m:?}: ({lo}, {hi})");
         }
     }
 

@@ -12,6 +12,3 @@
 //! don't fit a single crate: determinism across seeds and worker counts,
 //! JSON golden-file round-trips, and an in-process smoke run of the
 //! `quickstart` example.
-
-/// The workspace this crate stitches together, for doc links.
-pub const WORKSPACE: &str = "wefr";

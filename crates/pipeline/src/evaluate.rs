@@ -15,9 +15,6 @@ pub struct DriveScore {
     pub drive_index: usize,
     /// Highest score across the drive's test days.
     pub max_score: f64,
-    /// Test day on which `max_score` first crosses any given threshold is
-    /// derivable; this is the day of the maximum (first occurrence).
-    pub peak_day: u32,
     /// Whether the drive actually fails within the evaluation window
     /// (test period plus horizon).
     pub actual: bool,
@@ -195,7 +192,6 @@ pub(crate) fn score_routed(
         drive_scores.push(DriveScore {
             drive_index,
             max_score: best,
-            peak_day: start + best_idx as u32,
             actual,
         });
         peak_routes.push(routes[best_idx]);
@@ -322,7 +318,6 @@ mod tests {
         DriveScore {
             drive_index: i,
             max_score: score,
-            peak_day: 0,
             actual,
         }
     }

@@ -1000,14 +1000,14 @@ mod tests {
                 if drive.model != model || start > end {
                     continue;
                 }
-                let (mut best, mut peak_day, mut peak_low) = (f64::NEG_INFINITY, start, true);
+                let (mut best, mut peak_low) = (f64::NEG_INFINITY, true);
                 for day in start..=end {
                     let m = drive.value_on(day, mwi).unwrap();
                     let is_low = !m.is_nan() && m <= threshold;
                     let predictor = if is_low { &low } else { &high };
                     let score = predictor.score_drive_day(drive, day).unwrap();
                     if score > best {
-                        (best, peak_day, peak_low) = (score, day, is_low);
+                        (best, peak_low) = (score, is_low);
                     }
                 }
                 let actual = drive.failure.is_some_and(|f| {
@@ -1016,7 +1016,6 @@ mod tests {
                 expected.push(DriveScore {
                     drive_index,
                     max_score: best,
-                    peak_day,
                     actual,
                 });
                 from_low.push(peak_low);
@@ -1057,7 +1056,6 @@ mod tests {
         .map(|&(i, s, _)| DriveScore {
             drive_index: i,
             max_score: s,
-            peak_day: 0,
             actual: false,
         })
         .collect();
@@ -1081,7 +1079,6 @@ mod tests {
             .map(|(i, &s)| DriveScore {
                 drive_index: i,
                 max_score: s,
-                peak_day: 0,
                 actual: false,
             })
             .collect();
@@ -1097,7 +1094,6 @@ mod tests {
         let mut scores = vec![DriveScore {
             drive_index: 0,
             max_score: 0.7,
-            peak_day: 0,
             actual: true,
         }];
         quantile_normalize(&mut scores, &[true]);
@@ -1146,13 +1142,11 @@ mod tests {
             DriveScore {
                 drive_index: 1,
                 max_score: 0.5,
-                peak_day: 0,
                 actual: true,
             },
             DriveScore {
                 drive_index: 2,
                 max_score: 0.4,
-                peak_day: 0,
                 actual: false,
             },
         ];

@@ -171,7 +171,7 @@ pub fn fig1_report_from_census(
             min_bucket,
         );
         let change_point = curve
-            .detect_change_point_default()
+            .detect_change_point()
             .map_err(|e| PipelineError::invalid(format!("fig1 change point for {model}: {e}")))?
             .map(|cp| Fig1ChangePoint {
                 mwi_threshold: cp.mwi_threshold,

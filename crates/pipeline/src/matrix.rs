@@ -47,14 +47,16 @@ pub fn base_features_at(
         .collect()
 }
 
-/// Sampling policy for building training matrices.
+/// Keep every `NEG_STRIDE`-th healthy drive-day, counted from deployment
+/// (positives are always kept).
+const NEG_STRIDE: u32 = 7;
+
+/// Sampling policy for building training matrices: every positive
+/// drive-day, and every 7th negative one before downsampling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
     /// Prediction horizon in days.
     pub horizon: u32,
-    /// Keep every `neg_stride`-th healthy drive-day (positives are always
-    /// kept). Must be ≥ 1.
-    pub neg_stride: u32,
     /// After striding, downsample negatives to at most this multiple of the
     /// positive count (`None` = keep all strided negatives).
     pub downsample_ratio: Option<f64>,
@@ -66,7 +68,6 @@ impl Default for SamplingConfig {
     fn default() -> Self {
         SamplingConfig {
             horizon: crate::label::PAPER_HORIZON_DAYS,
-            neg_stride: 7,
             downsample_ratio: Some(4.0),
             seed: 0,
         }
@@ -74,8 +75,8 @@ impl Default for SamplingConfig {
 }
 
 /// The training sample rule of one window (§II-B): every positive
-/// drive-day of `model` in `[from_day, to_day]` plus every
-/// `neg_stride`-th negative counted from deployment, then negatives
+/// drive-day of `model` in `[from_day, to_day]` plus every 7th negative
+/// counted from deployment, then negatives
 /// downsampled over the whole window's label sequence. The one copy of the
 /// rule; the materialised and both streamed matrix sources apply it.
 pub(crate) struct SampleRule<'a> {
@@ -87,25 +88,18 @@ pub(crate) struct SampleRule<'a> {
 
 impl<'a> SampleRule<'a> {
     /// The rule for `model` over `[from_day, to_day]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::InvalidInput`] when `neg_stride == 0`.
     pub(crate) fn new(
         model: DriveModel,
         from_day: u32,
         to_day: u32,
         config: &'a SamplingConfig,
-    ) -> Result<Self, PipelineError> {
-        if config.neg_stride == 0 {
-            return Err(PipelineError::invalid("neg_stride must be at least 1"));
-        }
-        Ok(SampleRule {
+    ) -> Self {
+        SampleRule {
             model,
             from_day,
             to_day,
             config,
-        })
+        }
     }
 
     /// The samples of one drive, in day order (none for another model).
@@ -115,12 +109,11 @@ impl<'a> SampleRule<'a> {
         drive_index: usize,
     ) -> impl Iterator<Item = SampleRef> + 'd {
         let (from, to, horizon) = (self.from_day, self.to_day, self.config.horizon);
-        let stride = self.config.neg_stride;
         (drive.model == self.model)
             .then(|| labeled_days(drive, drive_index, from, to, horizon))
             .into_iter()
             .flatten()
-            .filter(move |s| s.label || (s.day - drive.deploy_day).is_multiple_of(stride))
+            .filter(move |s| s.label || (s.day - drive.deploy_day).is_multiple_of(NEG_STRIDE))
     }
 
     /// Reject a window that holds `count == 0` samples.
@@ -258,8 +251,8 @@ fn sample_drive<'f>(fleet: &'f Fleet, s: &SampleRef) -> Result<&'f DriveRecord, 
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::InvalidInput`] when `neg_stride == 0` or the
-/// range contains no samples.
+/// Returns [`PipelineError::InvalidInput`] when the range contains no
+/// samples.
 pub fn collect_samples(
     fleet: &Fleet,
     model: DriveModel,
@@ -267,7 +260,7 @@ pub fn collect_samples(
     to_day: u32,
     config: &SamplingConfig,
 ) -> Result<Vec<SampleRef>, PipelineError> {
-    let rule = SampleRule::new(model, from_day, to_day, config)?;
+    let rule = SampleRule::new(model, from_day, to_day, config);
     let mut samples = Vec::new();
     for (drive_index, drive) in fleet.drives().iter().enumerate() {
         samples.extend(rule.drive_samples(drive, drive_index));

@@ -33,11 +33,6 @@ impl Phase {
     pub fn validation_range(&self) -> (u32, u32) {
         (self.validation_start, self.train_end)
     }
-
-    /// Test days.
-    pub fn test_range(&self) -> (u32, u32) {
-        (self.test_start, self.test_end)
-    }
 }
 
 /// The first day of month `m` (0-based) in a window of `days` days split

@@ -50,8 +50,8 @@ pub struct StreamedMatrix {
 ///
 /// Returns [`PipelineError::Dataset`] for malformed CSV (same line numbers
 /// and messages as the single-threaded importer) and
-/// [`PipelineError::InvalidInput`] for a zero `neg_stride` or when the
-/// window contains no samples of `model`.
+/// [`PipelineError::InvalidInput`] when the window contains no samples of
+/// `model`.
 pub fn streaming_base_matrix<R: BufRead + Send>(
     input: R,
     tickets: &[TroubleTicket],
@@ -61,7 +61,7 @@ pub fn streaming_base_matrix<R: BufRead + Send>(
     sampling: &SamplingConfig,
     ingest: &IngestConfig,
 ) -> Result<StreamedMatrix, PipelineError> {
-    let rule = SampleRule::new(model, from_day, to_day, sampling)?;
+    let rule = SampleRule::new(model, from_day, to_day, sampling);
     let mut rows = BaseRows::new(model, 0);
     let stats = stream_drive_batches(input, tickets, ingest, |batch: DriveBatch| {
         for drive in &batch.drives {
@@ -123,8 +123,8 @@ pub struct GeneratedMatrix {
 /// # Errors
 ///
 /// Returns [`PipelineError::Dataset`] for an invalid scenario and
-/// [`PipelineError::InvalidInput`] for a zero `neg_stride` or when the
-/// window contains no samples of `model`.
+/// [`PipelineError::InvalidInput`] when the window contains no samples of
+/// `model`.
 pub fn generated_base_matrix(
     config: &FleetConfig,
     gen: &GenConfig,
@@ -133,7 +133,7 @@ pub fn generated_base_matrix(
     to_day: u32,
     sampling: &SamplingConfig,
 ) -> Result<GeneratedMatrix, PipelineError> {
-    let rule = SampleRule::new(model, from_day, to_day, sampling)?;
+    let rule = SampleRule::new(model, from_day, to_day, sampling);
     let internal = || {
         PipelineError::invalid("generation passes disagree: streamed source is nondeterministic")
     };
@@ -302,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn generated_rejects_absent_model_and_zero_stride() {
+    fn generated_rejects_an_absent_model() {
         let config = FleetConfig::builder()
             .days(200)
             .seed(5)
@@ -320,11 +320,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidInput { .. }));
-        let sampling = SamplingConfig {
-            neg_stride: 0,
-            ..SamplingConfig::default()
-        };
-        assert!(generated_base_matrix(&config, &gen, DriveModel::Mc1, 0, 199, &sampling).is_err());
     }
 
     #[test]
@@ -341,25 +336,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidInput { .. }));
-    }
-
-    #[test]
-    fn zero_stride_is_rejected() {
-        let (text, tickets, _config) = fixture();
-        let sampling = SamplingConfig {
-            neg_stride: 0,
-            ..SamplingConfig::default()
-        };
-        assert!(streaming_base_matrix(
-            text.as_bytes(),
-            &tickets,
-            DriveModel::Mc1,
-            0,
-            399,
-            &sampling,
-            &IngestConfig::default(),
-        )
-        .is_err());
     }
 
     #[test]

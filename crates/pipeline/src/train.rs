@@ -43,7 +43,6 @@ impl PredictorConfig {
                 max_depth: self.max_depth,
                 min_samples_leaf: 2,
                 max_features: MaxFeatures::Sqrt,
-                ..TreeConfig::default()
             },
             seed: self.seed,
             n_threads: self.n_threads,

@@ -54,15 +54,6 @@ pub fn population_std(xs: &[f64]) -> Result<f64> {
     population_variance(xs).map(f64::sqrt)
 }
 
-/// Sample standard deviation.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] if `xs` is empty.
-pub fn sample_std(xs: &[f64]) -> Result<f64> {
-    sample_variance(xs).map(f64::sqrt)
-}
-
 /// Minimum of `xs`, ignoring NaNs is **not** attempted: NaNs are rejected.
 ///
 /// # Errors

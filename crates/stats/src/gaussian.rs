@@ -43,12 +43,6 @@ pub fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     mean + std * z
 }
 
-/// Draw one sample from a log-normal distribution whose *underlying* normal
-/// has the given mean and std.
-pub fn sample_log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    sample_normal(rng, mu, sigma).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,14 +86,6 @@ mod tests {
     fn zero_std_returns_mean() {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(sample_normal(&mut rng, 5.0, 0.0), 5.0);
-    }
-
-    #[test]
-    fn log_normal_is_positive() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..1000 {
-            assert!(sample_log_normal(&mut rng, 0.0, 1.0) > 0.0);
-        }
     }
 
     #[test]

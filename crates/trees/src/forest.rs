@@ -1,6 +1,6 @@
 //! Random Forest classifier: bagged CART trees with per-node feature
-//! subsampling, out-of-bag scoring, and both impurity-based and permutation
-//! feature importances.
+//! subsampling, and both impurity-based and out-of-bag permutation feature
+//! importances.
 //!
 //! The paper uses Random Forest both as its prediction model (100 trees,
 //! depth 13) and as one of the five preliminary feature-selection approaches
@@ -144,61 +144,6 @@ impl RandomForest {
         }
         let n = self.trees.len() as f64;
         Ok(sums.into_iter().map(|s| s / n).collect())
-    }
-
-    /// Out-of-bag probability per training row (`None` for rows that were
-    /// in-bag for every tree).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreesError::SchemaMismatch`] or
-    /// [`TreesError::LengthMismatch`] when `data` is not the training matrix.
-    pub fn oob_proba(&self, data: &FeatureMatrix) -> Result<Vec<Option<f64>>, TreesError> {
-        self.check_training_matrix(data)?;
-        let mut sums = vec![0.0; data.n_rows()];
-        let mut counts = vec![0u32; data.n_rows()];
-        for (tree, oob) in self.trees.iter().zip(&self.oob_rows) {
-            for &row in oob {
-                sums[row] += tree.predict_row(data, row);
-                counts[row] += 1;
-            }
-        }
-        Ok(sums
-            .into_iter()
-            .zip(counts)
-            .map(|(s, c)| (c > 0).then(|| s / c as f64))
-            .collect())
-    }
-
-    /// Out-of-bag accuracy at a 0.5 threshold.
-    ///
-    /// # Errors
-    ///
-    /// Propagates schema mismatches; returns
-    /// [`TreesError::LengthMismatch`] when `labels` don't cover `data`.
-    pub fn oob_score(&self, data: &FeatureMatrix, labels: &[bool]) -> Result<f64, TreesError> {
-        if labels.len() != data.n_rows() {
-            return Err(TreesError::LengthMismatch {
-                features: data.n_rows(),
-                targets: labels.len(),
-            });
-        }
-        let proba = self.oob_proba(data)?;
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for (p, &label) in proba.iter().zip(labels) {
-            if let Some(p) = p {
-                total += 1;
-                if (*p >= 0.5) == label {
-                    correct += 1;
-                }
-            }
-        }
-        Ok(if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        })
     }
 
     /// Mean decrease in impurity (gain) per feature, normalized to sum to 1
@@ -602,18 +547,18 @@ mod tests {
             },
         )
         .unwrap();
-        let score = forest.oob_score(&data, &labels).unwrap();
-        assert!(score > 0.9, "oob = {score}");
+        let proba = forest.predict_proba(&data).unwrap();
+        let correct = proba
+            .iter()
+            .zip(&labels)
+            .filter(|(p, &l)| (**p >= 0.5) == l)
+            .count();
+        assert!(
+            correct as f64 > 0.9 * labels.len() as f64,
+            "correct = {correct}"
+        );
         let perm = forest.permutation_importances(&data, &labels).unwrap();
         assert!(perm[0] > perm[2], "perm = {perm:?}");
-    }
-
-    #[test]
-    fn oob_score_is_high_on_learnable_task() {
-        let (data, labels) = make_data(400, 5);
-        let forest = RandomForest::fit(&data, &labels, &small_config()).unwrap();
-        let score = forest.oob_score(&data, &labels).unwrap();
-        assert!(score > 0.9, "oob = {score}");
     }
 
     #[test]
@@ -690,10 +635,8 @@ mod tests {
             };
             assert_eq!(
                 forest.permutation_importances(&other, &other_labels),
-                Err(expected.clone())
+                Err(expected)
             );
-            assert_eq!(forest.oob_proba(&other), Err(expected.clone()));
-            assert_eq!(forest.oob_score(&other, &other_labels), Err(expected));
         }
         assert!(forest.permutation_importances(&data, &labels).is_ok());
     }

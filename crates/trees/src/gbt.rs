@@ -9,20 +9,19 @@ use crate::forest::mix_seed;
 use crate::tree::RegressionTree;
 use rng::rngs::StdRng;
 use rng::SeedableRng;
-use smart_stats::sampling::sample_without_replacement;
 use smart_stats::FeatureMatrix;
 
-/// Gradient-boosting hyperparameters.
+/// Shrinkage applied to each stage's contribution.
+const LEARNING_RATE: f64 = 0.1;
+
+/// Gradient-boosting hyperparameters. Every round fits every row, and each
+/// stage contributes a tenth of its leaf values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostingConfig {
     /// Number of boosting rounds (paper: 100 trees).
     pub n_rounds: usize,
-    /// Shrinkage applied to each stage's contribution.
-    pub learning_rate: f64,
     /// Per-stage tree configuration (boosting favours shallow trees).
     pub tree: TreeConfig,
-    /// Row subsampling fraction per round (stochastic gradient boosting).
-    pub subsample: f64,
     /// RNG seed.
     pub seed: u64,
     /// Split-search engine (default: [`SplitStrategy::Histogram`]). With
@@ -35,14 +34,11 @@ impl Default for BoostingConfig {
     fn default() -> Self {
         BoostingConfig {
             n_rounds: 100,
-            learning_rate: 0.1,
             tree: TreeConfig {
                 max_depth: 4,
                 min_samples_leaf: 5,
                 max_features: MaxFeatures::All,
-                ..TreeConfig::default()
             },
-            subsample: 1.0,
             seed: 0,
             strategy: SplitStrategy::default(),
         }
@@ -54,7 +50,6 @@ impl Default for BoostingConfig {
 pub struct GradientBoosting {
     stages: Vec<RegressionTree>,
     base_score: f64,
-    learning_rate: f64,
     n_features: usize,
 }
 
@@ -74,16 +69,6 @@ impl GradientBoosting {
         if config.n_rounds == 0 {
             return Err(TreesError::InvalidParameter {
                 message: "n_rounds must be at least 1".to_string(),
-            });
-        }
-        if !(config.learning_rate > 0.0 && config.learning_rate <= 1.0) {
-            return Err(TreesError::InvalidParameter {
-                message: "learning_rate must be in (0, 1]".to_string(),
-            });
-        }
-        if !(config.subsample > 0.0 && config.subsample <= 1.0) {
-            return Err(TreesError::InvalidParameter {
-                message: "subsample must be in (0, 1]".to_string(),
             });
         }
         let n = data.n_rows();
@@ -112,7 +97,7 @@ impl GradientBoosting {
             SplitStrategy::Exact => None,
         };
         let all_rows: Vec<usize> = (0..n).collect();
-        let mut leaves = vec![UNROUTED; n];
+        let mut leaves = vec![0; n];
 
         for round in 0..config.n_rounds {
             let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, round as u64));
@@ -120,43 +105,35 @@ impl GradientBoosting {
             let probs: Vec<f64> = scores.iter().map(|&s| sigmoid(s)).collect();
             let residuals: Vec<f64> = y.iter().zip(&probs).map(|(y, p)| y - p).collect();
 
-            let drawn;
-            let rows: &[usize] = if config.subsample < 1.0 {
-                let k = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
-                drawn = sample_without_replacement(&mut rng, n, k)?;
-                &drawn
-            } else {
-                &all_rows
-            };
-
             // Every row's leaf, found once: relabeling only rewrites leaf
-            // values, never the routing. The binned fit files each row it
-            // trains on; the rest (outside a subsample draw, or every row
-            // under the exact engine) are routed through the tree.
-            leaves.fill(UNROUTED);
+            // values, never the routing. The binned fit files each row as
+            // it trains; under the exact engine each row is routed through
+            // the fitted tree.
             let mut tree = match &binned {
                 Some(b) => RegressionTree::fit_binned_with_leaves(
                     b,
                     &residuals,
-                    rows,
+                    &all_rows,
                     &config.tree,
                     &mut rng,
                     Some(&mut leaves),
-                ),
-                None => RegressionTree::fit(data, &residuals, rows, &config.tree, &mut rng),
-            }?;
-            for (r, leaf) in leaves.iter_mut().enumerate() {
-                if *leaf == UNROUTED {
-                    *leaf = tree.apply(data, r);
+                )?,
+                None => {
+                    let tree =
+                        RegressionTree::fit(data, &residuals, &all_rows, &config.tree, &mut rng)?;
+                    for (r, leaf) in leaves.iter_mut().enumerate() {
+                        *leaf = tree.apply(data, r);
+                    }
+                    tree
                 }
-            }
+            };
 
             // Newton re-labeling: leaf value = Σ(y-p) / Σ p(1-p).
             let mut grad_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
             let mut hess_sum: Vec<f64> = vec![0.0; tree.n_nodes()];
-            for &r in rows {
-                grad_sum[leaves[r]] += residuals[r];
-                hess_sum[leaves[r]] += probs[r] * (1.0 - probs[r]);
+            for (r, &leaf) in leaves.iter().enumerate() {
+                grad_sum[leaf] += residuals[r];
+                hess_sum[leaf] += probs[r] * (1.0 - probs[r]);
             }
             for leaf in 0..tree.n_nodes() {
                 if hess_sum[leaf] > 0.0 {
@@ -166,7 +143,7 @@ impl GradientBoosting {
 
             // Update scores on the full training set.
             for (score, &leaf) in scores.iter_mut().zip(&leaves) {
-                *score += config.learning_rate * tree.leaf_value(leaf);
+                *score += LEARNING_RATE * tree.leaf_value(leaf);
             }
             stages.push(tree);
         }
@@ -174,7 +151,6 @@ impl GradientBoosting {
         Ok(GradientBoosting {
             stages,
             base_score,
-            learning_rate: config.learning_rate,
             n_features: data.n_features(),
         })
     }
@@ -195,7 +171,7 @@ impl GradientBoosting {
         let mut scores = vec![self.base_score; data.n_rows()];
         for stage in &self.stages {
             for (row, score) in scores.iter_mut().enumerate() {
-                *score += self.learning_rate * stage.predict_row(data, row);
+                *score += LEARNING_RATE * stage.predict_row(data, row);
             }
         }
         Ok(scores.into_iter().map(sigmoid).collect())
@@ -237,9 +213,6 @@ impl GradientBoosting {
         self.n_features
     }
 }
-
-/// A `leaves` entry no fit has filed yet: never a node index.
-const UNROUTED: usize = usize::MAX;
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -348,31 +321,11 @@ mod tests {
     }
 
     #[test]
-    fn subsampling_still_learns() {
-        let (data, labels) = make_data(500, 9);
-        let config = BoostingConfig {
-            subsample: 0.6,
-            ..small_config()
-        };
-        let model = GradientBoosting::fit(&data, &labels, &config).unwrap();
-        let proba = model.predict_proba(&data).unwrap();
-        let acc = proba
-            .iter()
-            .zip(&labels)
-            .filter(|(p, &l)| (**p >= 0.5) == l)
-            .count() as f64
-            / labels.len() as f64;
-        assert!(acc > 0.9, "acc = {acc}");
-    }
-
-    #[test]
     fn rejects_bad_hyperparameters() {
         let (data, labels) = make_data(50, 11);
         for mutate in [
             |c: &mut BoostingConfig| c.n_rounds = 0,
-            |c: &mut BoostingConfig| c.learning_rate = 0.0,
-            |c: &mut BoostingConfig| c.learning_rate = 1.5,
-            |c: &mut BoostingConfig| c.subsample = 0.0,
+            |c: &mut BoostingConfig| c.tree.min_samples_leaf = 0,
         ] {
             let mut c = small_config();
             mutate(&mut c);

@@ -8,9 +8,9 @@
 //! * [`RegressionTree`] — a CART tree under the variance-reduction
 //!   criterion (identical split ordering to Gini on 0/1 targets), with
 //!   per-node feature subsampling and re-labelable leaves.
-//! * [`RandomForest`] — bagged trees with out-of-bag scoring, impurity
-//!   (MDI) importances, and Breiman OOB *permutation* importances (the
-//!   importance the paper's Random Forest selector uses).
+//! * [`RandomForest`] — bagged trees with impurity (MDI) importances and
+//!   Breiman OOB *permutation* importances (the importance the paper's
+//!   Random Forest selector uses).
 //! * [`GradientBoosting`] — logistic-loss boosting with Newton leaf values
 //!   and XGBoost-style gain / split-count importances.
 //!

@@ -13,6 +13,9 @@ use rng::Rng;
 use smart_stats::sampling::sample_without_replacement;
 use smart_stats::FeatureMatrix;
 
+/// A node of fewer samples than this is never split.
+const MIN_SAMPLES_SPLIT: usize = 2;
+
 /// A node of the tree.
 #[derive(Debug, Clone, PartialEq)]
 enum Node {
@@ -153,7 +156,7 @@ impl RegressionTree {
         let mean = rows.iter().map(|&r| targets[r]).sum::<f64>() / n as f64;
         let constant = rows.iter().all(|&r| (targets[r] - mean).abs() < 1e-12);
 
-        if depth >= config.max_depth || n < config.min_samples_split || constant {
+        if depth >= config.max_depth || n < MIN_SAMPLES_SPLIT || constant {
             return Ok(self.push_leaf(mean, n));
         }
 
@@ -235,7 +238,7 @@ impl RegressionTree {
             / n as f64;
         let constant = rows.iter().all(|&r| (targets[r] - mean).abs() < 1e-12);
 
-        if depth >= ctx.config.max_depth || n < ctx.config.min_samples_split || constant {
+        if depth >= ctx.config.max_depth || n < MIN_SAMPLES_SPLIT || constant {
             return Ok(self.push_binned_leaf(ctx, rows, mean, n));
         }
 
@@ -637,7 +640,7 @@ impl BinnedCtx<'_> {
     /// whether handing down inherited histograms can pay off. Sizes are
     /// weighted.
     fn child_may_split(&self, depth: usize, n_left: usize, n_right: usize) -> bool {
-        depth + 1 < self.config.max_depth && n_left.max(n_right) >= self.config.min_samples_split
+        depth + 1 < self.config.max_depth && n_left.max(n_right) >= MIN_SAMPLES_SPLIT
     }
 }
 
@@ -881,15 +884,16 @@ mod tests {
     fn feature_subsampling_still_learns() {
         let (data, targets) = xor_data();
         let config = TreeConfig {
-            max_features: MaxFeatures::Count(2),
+            max_features: MaxFeatures::Sqrt,
             ..TreeConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(9);
         let tree =
             RegressionTree::fit(&data, &targets, &all_rows(data.n_rows()), &config, &mut rng)
                 .unwrap();
-        // With 2 of 3 features per node it may need more depth, but the fit
-        // must still reduce error well below the 0.25 variance baseline.
+        // With ⌈√3⌉ = 2 of 3 features per node it may need more depth, but
+        // the fit must still reduce error well below the 0.25 variance
+        // baseline.
         let preds = tree.predict(&data).unwrap();
         let mse: f64 = preds
             .iter()

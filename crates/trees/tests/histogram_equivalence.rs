@@ -146,7 +146,6 @@ fn prop_trees_are_identical_on_exactly_binned_data() {
                     max_depth: 5,
                     min_samples_leaf,
                     max_features,
-                    ..TreeConfig::default()
                 };
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let exact =

@@ -7,10 +7,9 @@
 //! reaches every binning path: a quantile-binned column (more than 255
 //! distinct values), a column with NaN cells (the reserved missing bin,
 //! which gradient boosting's sibling subtraction carries), and
-//! low-cardinality columns. Boosting runs with and without row
-//! subsampling; the forest runs with √F candidates per node (fresh
-//! histograms) and with every feature (sibling subtraction over bootstrap
-//! copies).
+//! low-cardinality columns. The forest runs with √F candidates per node
+//! (fresh histograms) and with every feature (sibling subtraction over
+//! bootstrap copies).
 
 use rng::rngs::StdRng;
 use rng::{RngExt, SeedableRng};
@@ -76,43 +75,26 @@ fn digest(values: &[f64]) -> u64 {
 #[test]
 fn boosted_learner_matches_its_pinned_bits() {
     let (data, labels) = fixture();
-    // Per subsample fraction: the digests of the gain importances, the
-    // split-count importances and `predict_proba` on the training rows.
-    let pinned: [(f64, [u64; 4]); 2] = [
-        (
-            1.0,
-            [
-                0x8c3b_b05a_d999_067c,
-                0x6843_2656_1d20_d367,
-                0x9090_5568_a863_bd97,
-                0x281a_2727_ca87_6fa7,
-            ],
-        ),
-        (
-            0.6,
-            [
-                0x7c61_8fda_4b18_5adf,
-                0xb9b4_cf8f_6000_723e,
-                0x8a89_dfa3_5b9e_ae54,
-                0x9520_b580_5a61_d795,
-            ],
-        ),
+    // The digests of the gain importances, the split-count importances and
+    // `predict_proba` on the training rows and on a copy with one feature
+    // blanked.
+    let pinned: [u64; 4] = [
+        0x8c3b_b05a_d999_067c,
+        0x6843_2656_1d20_d367,
+        0x9090_5568_a863_bd97,
+        0x281a_2727_ca87_6fa7,
     ];
-    let got = pinned.map(|(subsample, _)| {
-        let config = BoostingConfig {
-            subsample,
-            seed: 3,
-            ..BoostingConfig::default()
-        };
-        let model = GradientBoosting::fit(&data, &labels, &config).unwrap();
-        let digests = [
-            digest(&model.gain_importances()),
-            digest(&model.split_count_importances()),
-            digest(&model.predict_proba(&data).unwrap()),
-            digest(&model.predict_proba(&blanked(&data)).unwrap()),
-        ];
-        (subsample, digests)
-    });
+    let config = BoostingConfig {
+        seed: 3,
+        ..BoostingConfig::default()
+    };
+    let model = GradientBoosting::fit(&data, &labels, &config).unwrap();
+    let got = [
+        digest(&model.gain_importances()),
+        digest(&model.split_count_importances()),
+        digest(&model.predict_proba(&data).unwrap()),
+        digest(&model.predict_proba(&blanked(&data)).unwrap()),
+    ];
     assert_eq!(got, pinned, "got {got:#018x?}");
 }
 

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             Some((lo, hi)) => print!("MWI_N spans {lo}..{hi}; "),
         }
-        match curve.detect_change_point_default()? {
+        match curve.detect_change_point()? {
             Some(cp) => println!(
                 "survival changes significantly at MWI_N = {} (z = {:.1})",
                 cp.mwi_threshold, cp.z_score

@@ -1,5 +1,10 @@
 //! End-to-end pipeline integration: the full method matrix runs on a small
 //! fleet and produces sane, comparable metrics.
+//!
+//! Each experiment's result is also pinned: an FNV-1a digest of its JSON
+//! form, which writes every float in its shortest round-trip form and so
+//! covers every bit of every metric. A change meant to move no experiment
+//! bit keeps every digest.
 
 use smart_dataset::{DriveModel, Fleet, FleetConfig};
 use smart_pipeline::experiment::{
@@ -22,19 +27,35 @@ fn exp_config() -> ExperimentConfig {
     ExperimentConfig::quick(3)
 }
 
+/// FNV-1a over a result's JSON text.
+fn digest<T: json::ToJson>(result: &T) -> u64 {
+    json::to_string(result)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 #[test]
 fn method_matrix_produces_sane_metrics() {
     let fleet = fleet();
     let config = exp_config();
-    for method in [
-        Method::NoSelection,
-        Method::Selector {
-            kind: SelectorKind::Pearson,
-            percent: Some(0.3),
-        },
-        Method::Wefr,
-    ] {
+    let pinned: [(Method, u64); 3] = [
+        (Method::NoSelection, 0x5733_2b2e_ab41_c5e9),
+        (
+            Method::Selector {
+                kind: SelectorKind::Pearson,
+                percent: Some(0.3),
+            },
+            0x043f_b003_5be5_754c,
+        ),
+        (Method::Wefr, 0x1f71_bb5b_d3c8_ee40),
+    ];
+    let mut got = pinned;
+    for (method, pin) in &mut got {
+        let method = *method;
         let r = run_method(&fleet, DriveModel::Mc1, method, &config).expect("method runs");
+        *pin = digest(&r);
         assert_eq!(r.per_phase.len(), 3);
         assert!((0.0..=1.0).contains(&r.overall.precision), "{method:?}");
         assert!((0.0..=1.0).contains(&r.overall.recall));
@@ -47,6 +68,7 @@ fn method_matrix_produces_sane_metrics() {
             r.overall.recall
         );
     }
+    assert_eq!(got, pinned, "got {got:#018x?}");
 }
 
 #[test]
@@ -90,6 +112,8 @@ fn percentage_sweep_brackets_wefr() {
         "WEFR {:.3} far below best fixed {best:.3}",
         sweep.wefr_f_half
     );
+    let got = digest(&sweep);
+    assert_eq!(got, 0x8681_5432_5474_f25f, "got {got:#018x}");
 }
 
 #[test]
@@ -102,4 +126,6 @@ fn updating_comparison_runs_on_mc1() {
     assert_eq!(r.thresholds.len(), 3);
     // When a change point exists, cohort metrics exist in matched pairs.
     assert_eq!(r.wefr_low.is_some(), r.no_update_low.is_some());
+    let got = digest(&r);
+    assert_eq!(got, 0xb874_4f90_8e46_9353, "got {got:#018x}");
 }

@@ -29,7 +29,7 @@ fn mc1_has_a_low_mwi_change_point() {
     let census = census_for(DriveModel::Mc1, 6000, 1);
     let c = curve(&census, DriveModel::Mc1);
     let cp = c
-        .detect_change_point_default()
+        .detect_change_point()
         .expect("valid config")
         .expect("MC1 must show a wear-out knee");
     // The simulator's MC1 hazard knee is at MWI 30; the paper reports
@@ -49,7 +49,7 @@ fn mb1_has_no_change_point() {
     // points due to a small range of MWI_N").
     let (min, max) = c.mwi_range().expect("buckets exist");
     assert!(max - min < 12, "range {min}..{max}");
-    assert!(c.detect_change_point_default().unwrap().is_none());
+    assert!(c.detect_change_point().unwrap().is_none());
 }
 
 #[test]
