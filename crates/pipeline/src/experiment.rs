@@ -403,7 +403,9 @@ impl WefrPhase {
 
     /// One predictor per wear-out group of `w`, each on its group's fit
     /// samples, rebalanced to a common class ratio so the two models'
-    /// probability scales are comparable.
+    /// probability scales are comparable. A group's rebalancing draw and
+    /// its forest share a seed: the phase seed for the low group, the
+    /// phase seed + 1 for the high group.
     fn grouped_predictor(
         &self,
         fleet: &Fleet,
@@ -415,9 +417,13 @@ impl WefrPhase {
         let split = split_rows_by_mwi(&self.mwi, threshold);
         let train = |group: &GroupSelection, rows: &[usize], seed| {
             let samples: Vec<SampleRef> = rows.iter().map(|&r| self.samples[r]).collect();
+            let sampling = SamplingConfig {
+                seed,
+                ..config.sampling
+            };
             FailurePredictor::train(
                 fleet,
-                &rebalance(&samples, &config.sampling)?,
+                &rebalance(&samples, &sampling)?,
                 &base_features_at(model, &group.selected)?,
                 &predictor_config(config, seed),
             )

@@ -13,9 +13,13 @@ use smart_pipeline::experiment::{
 };
 
 fn fleet() -> Fleet {
+    fleet_with_seed(23)
+}
+
+fn fleet_with_seed(seed: u64) -> Fleet {
     let config = FleetConfig::builder()
         .days(365)
-        .seed(23)
+        .seed(seed)
         .drives(DriveModel::Mc1, 150)
         .failure_scale(8.0)
         .build()
@@ -128,4 +132,23 @@ fn updating_comparison_runs_on_mc1() {
     assert_eq!(r.wefr_low.is_some(), r.no_update_low.is_some());
     let got = digest(&r);
     assert_eq!(got, 0xb874_4f90_8e46_9353, "got {got:#018x}");
+}
+
+#[test]
+fn wearout_groups_draw_from_the_phase_seed() {
+    // On this fleet the split fires in every phase and rebalancing the
+    // groups drops negatives, so a draw that read the sampling seed would
+    // move the result. Every draw seeds from the phase seed instead.
+    let fleet = fleet_with_seed(1);
+    let config = exp_config();
+    let r = run_updating_comparison(&fleet, DriveModel::Mc1, &config).unwrap();
+    assert!(
+        r.thresholds.iter().all(Option::is_some),
+        "{:?}",
+        r.thresholds
+    );
+    let mut reseeded = config.clone();
+    reseeded.sampling.seed = 0x5EED;
+    let again = run_updating_comparison(&fleet, DriveModel::Mc1, &reseeded).unwrap();
+    assert_eq!(digest(&again), digest(&r));
 }
