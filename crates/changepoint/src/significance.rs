@@ -55,9 +55,8 @@ pub fn significant_points(change_probs: &[f64]) -> Result<Vec<SignificantPoint>,
 }
 
 /// The single most significant change point, if any crosses
-/// [`PAPER_Z_THRESHOLD`] —
-/// "if we detect multiple change points, we select the point with the most
-/// significant change" (§III-C).
+/// [`PAPER_Z_THRESHOLD`] — "if we detect multiple change points, we select
+/// the point with the most significant change" (§III-C).
 ///
 /// # Errors
 ///

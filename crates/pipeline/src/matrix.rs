@@ -76,9 +76,9 @@ impl Default for SamplingConfig {
 
 /// The training sample rule of one window (§II-B): every positive
 /// drive-day of `model` in `[from_day, to_day]` plus every 7th negative
-/// counted from deployment, then negatives
-/// downsampled over the whole window's label sequence. The one copy of the
-/// rule; the materialised and both streamed matrix sources apply it.
+/// counted from deployment, then negatives downsampled over the whole
+/// window's label sequence. The one copy of the rule; the materialised and
+/// both streamed matrix sources apply it.
 pub(crate) struct SampleRule<'a> {
     model: DriveModel,
     from_day: u32,
